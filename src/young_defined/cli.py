@@ -2,12 +2,14 @@
 
 Exit codes: 0 when everything checked passes (or the requested value was
 computed), 1 when a check reports mismatches or an embedding is not
-found within the bound, 2 on usage, parse, or resource errors.
+found within the bound, 2 on usage, parse, or resource errors and on an
+internal error, so that 1 always means a check ran and found a failure.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import formulas, harness
 from .arithmetization import decode, encode
@@ -189,6 +191,11 @@ def main(argv=None):
             DomainError, PartitionError, ResourceLimit, OSError,
             ValueError) as exc:
         print('error: %s' % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print('internal error: %s: %s' % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

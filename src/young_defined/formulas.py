@@ -10,12 +10,18 @@ associative) and the quantifiers `forall v (...)`, `exists v (...)`.
 Evaluation is truncated Tarski semantics: quantifiers range over every
 partition of cardinality at most maxCard + slack.  Free variables are
 whatever the caller assigns; definedSet sweeps them up to maxCard only.
-Quantifier bodies that are themselves quantifier-free are evaluated in
-bulk as bitmasks over the universe's deterministic ordinals, which is
-what makes exhaustive pair sweeps affordable.
+The evaluator is relational: a subformula is a bitmask row over the
+universe ordinals of one variable, connectives combine rows with & | ^
+(`a & b` asks b only at the bits a left set), and an atom is a lookup
+in the universe's bit caches.  A quantified subformula is a row over its
+innermost bound free variable, memoized for each value of its other
+free variables, so it is computed once per outer value rather than once
+per assignment of all the variables around it.
 """
 
 import importlib.resources
+import itertools
+import operator
 import re
 
 from .partitions import leq, parse_partition, render
@@ -76,9 +82,6 @@ class Const(Node):
     def __init__(self, name, value):
         self.name = name
         self.value = value
-
-    def key(self):
-        return ('Const', self.name, self.value)
 
 
 class Leq(Node):
@@ -171,24 +174,10 @@ def constants_of(f):
         elif isinstance(node, (Leq, Eq, _Binary)):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, Not):
-            walk(node.body)
-        elif isinstance(node, (Exists, Forall)):
+        elif isinstance(node, (Not, Exists, Forall)):
             walk(node.body)
     walk(f)
     return out
-
-
-def _has_quantifier(f):
-    if isinstance(f, (Exists, Forall)):
-        return True
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (_Binary, Leq, Eq)):
-        if isinstance(f, (Leq, Eq)):
-            return False
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +207,22 @@ def _line_col(text, pos):
     return line, col
 
 
+# Deepest nesting of parentheses, quantifiers, negations and implications
+# the parser descends into, and the highest formula tree it returns, so
+# that neither the recursive parser nor a tree walk exhausts the stack.
+MAX_NESTING = 64
+
+
+def _height(f):
+    """The number of levels of a formula tree, counted without recursion."""
+    height, level = 0, [f]
+    while level:
+        height += 1
+        level = [child for node in level for child in map(
+            node.__getattribute__, node._fields) if isinstance(child, Node)]
+    return height
+
+
 _PRELUDE_RE = re.compile(r'\s*const\s+([A-Za-z_]\w*)\s*=\s*([^;]*);')
 
 
@@ -237,6 +242,7 @@ class _Parser:
                 self.tokens.append((match.lastgroup, match.group(match.lastgroup), pos))
             pos = match.end()
         self.at = 0
+        self.depth = 0
 
     def peek(self):
         if self.at < len(self.tokens):
@@ -258,49 +264,49 @@ class _Parser:
         line, col = _line_col(self.text, pos)
         raise ParseError(message, line, col)
 
+    def nested(self, parse):
+        """parse() one level deeper, refusing nesting past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail('formula nested deeper than %d levels' % MAX_NESTING,
+                      self.peek()[2])
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     # precedence climbing, loosest first
     def formula(self):
-        return self.iff()
+        return self.chain('<->', Iff, self.implies)
 
-    def iff(self):
-        left = self.implies()
-        while self.peek()[1] == '<->':
+    def chain(self, op, cls, operand):
+        """operand()s joined by a left associative op."""
+        left = operand()
+        while self.peek()[1] == op:
             self.next()
-            left = Iff(left, self.implies())
+            left = cls(left, operand())
         return left
 
     def implies(self):
-        left = self.disjunction()
+        left = self.chain('|', Or, self.conjunction)
         if self.peek()[1] == '->':
             self.next()
-            return Implies(left, self.implies())   # right associative
-        return left
-
-    def disjunction(self):
-        left = self.conjunction()
-        while self.peek()[1] == '|':
-            self.next()
-            left = Or(left, self.conjunction())
+            return Implies(left, self.nested(self.implies))   # right associative
         return left
 
     def conjunction(self):
-        left = self.negation()
-        while self.peek()[1] == '&':
-            self.next()
-            left = And(left, self.negation())
-        return left
+        return self.chain('&', And, self.negation)
 
     def negation(self):
         if self.peek()[1] == '!':
             self.next()
-            return Not(self.negation())
+            return Not(self.nested(self.negation))
         return self.primary()
 
     def primary(self):
         kind, val, pos = self.peek()
         if val == '(':
             self.next()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(')')
             return inner
         if val in ('forall', 'exists'):
@@ -311,7 +317,7 @@ class _Parser:
             if name in self.constants:
                 self.fail('%r is a declared constant, not a variable' % name, name_pos)
             self.expect('(')
-            body = self.formula()
+            body = self.nested(self.formula)
             self.expect(')')
             return (Forall if val == 'forall' else Exists)(name, body)
         return self.atom()
@@ -360,6 +366,8 @@ def parse(text, constants=None):
     kind, val, at = parser.peek()
     if kind is not None:
         parser.fail('unexpected trailing %r' % val, at)
+    if _height(formula) > MAX_NESTING:
+        raise ParseError('formula nested deeper than %d levels' % MAX_NESTING)
     return formula
 
 
@@ -530,165 +538,179 @@ class EvalConfig:
         return 'EvalConfig(max_card=%d, slack=%d)' % (self.max_card, self.slack)
 
 
-class _Compiled:
-    """A formula compiled against one universe.
+def _rename(f, old, new):
+    """f with its free occurrences of the variable old renamed to new."""
+    if isinstance(f, Var):
+        return Var(new) if f.name == old else f
+    if isinstance(f, Const) or isinstance(f, (Exists, Forall)) and f.var == old:
+        return f    # a constant, or old is bound (shadowed) from here down
+    return type(f)(*[_rename(child, old, new) if isinstance(child, Node)
+                     else child for child in map(f.__getattribute__, f._fields)])
 
-    Scalar nodes become closures over an environment dict; a quantifier
-    whose body is quantifier-free is instead evaluated in bulk as a
-    bitmask over the universe ordinals, one bit per candidate value of
-    the bound variable.
+
+def _ones(mask):
+    """The positions of the set bits of mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find('1')
+    while i >= 0:
+        yield i
+        i = digits.find('1', i + 1)
+
+
+class _Compiled:
+    """A formula compiled against one universe and quantifier range.
+
+    Values are ordinals: a universe element is its position, any other
+    partition (a constant, or an assigned value outside the universe) a
+    position after them.  Compiled for a row variable r, a subformula is
+    a closure (env, care) -> the bits i of care at which it holds with
+    r = i, env mapping the other variables in scope to ordinals.  The
+    rows of quantified subformulas are kept in self.rows under the node
+    with its row variable renamed to '#', so alpha-equivalent
+    occurrences share them.
     """
 
     def __init__(self, formula, universe, cutoff):
+        self.formula = formula
+        self.free = free_vars(formula)
         self.universe = universe
-        self.cutoff = cutoff
         self.full = (1 << cutoff) - 1
-        self.down = universe.down_bits()
-        self.up = universe.up_bits()
-        self.elements = universe.elements[:cutoff]
-        self._down_cache = {}
-        self._up_cache = {}
-        self.run = self._compile(formula)
+        self.values = list(universe.elements)
+        self.down = list(universe.down_bits())
+        self.up = list(universe.up_bits())
+        self.outside = {}
+        self.rows = {}
+        self.scalar = self._closure(formula, None, {
+            name: level for level, name in enumerate(sorted(self.free))})
 
-    # masks for comparisons against a fixed partition
-    def _down_mask(self, value):
-        """Bits of the sweep candidates that are <= value."""
-        if value in self.universe.index:
-            return self.down[self.universe.ordinal(value)] & self.full
-        if value not in self._down_cache:
-            mask = 0
-            for i, u in enumerate(self.elements):
-                if leq(u, value):
-                    mask |= 1 << i
-            self._down_cache[value] = mask
-        return self._down_cache[value]
+    def ordinal(self, value):
+        """The ordinal of a partition, numbering it first if outside."""
+        if value in self.universe:
+            return self.universe.ordinal(value)
+        if value not in self.outside:
+            self.outside[value] = len(self.values)
+            self.values.append(value)
+            candidates = list(enumerate(self.values[:self.full.bit_length()]))
+            self.down.append(sum(1 << i for i, u in candidates if leq(u, value)))
+            self.up.append(sum(1 << i for i, u in candidates if leq(value, u)))
+        return self.outside[value]
 
-    def _up_mask(self, value):
-        """Bits of the sweep candidates that are >= value."""
-        if value in self.universe.index:
-            return self.up[self.universe.ordinal(value)] & self.full
-        if value not in self._up_cache:
-            mask = 0
-            for i, u in enumerate(self.elements):
-                if leq(value, u):
-                    mask |= 1 << i
-            self._up_cache[value] = mask
-        return self._up_cache[value]
+    def run(self, env):
+        """Truth of the formula under env (variable name -> partition)."""
+        missing = self.free - set(env)
+        if missing:
+            raise EvalError('unassigned free variables: %s'
+                            % ', '.join(sorted(missing)))
+        return self.scalar({v: self.ordinal(env[v]) for v in self.free}, 1) != 0
 
-    def _bit_mask(self, value):
-        if value in self.universe.index:
-            ordinal = self.universe.ordinal(value)
-            if ordinal < self.cutoff:
-                return 1 << ordinal
-        return 0
+    def relation(self, names, max_card):
+        """The tuples of partitions of cardinality <= max_card, one per
+        name, that satisfy the formula; the last name is swept as a row."""
+        if not names:
+            return {()} if self.run({}) else set()
+        top = self._closure(self.formula, names[-1], {
+            name: level for level, name in enumerate(names)})
+        width = self.universe.ordinal_cutoff(max_card)
+        out = set()
+        for outer in itertools.product(range(width), repeat=len(names) - 1):
+            prefix = tuple(self.values[i] for i in outer)
+            for i in _ones(top(dict(zip(names, outer)), (1 << width) - 1)):
+                out.add(prefix + (self.values[i],))
+        return out
 
-    def _term(self, t):
-        """A closure env -> Partition for a term."""
-        if isinstance(t, Const):
-            value = t.value
-            return lambda env: value
-        name = t.name
-
-        def lookup(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError('unassigned free variable %r' % name)
-        return lookup
-
-    def _compile(self, f):
-        """Scalar compilation: env -> bool."""
-        if isinstance(f, Leq):
-            left, right = self._term(f.left), self._term(f.right)
-            return lambda env: leq(left(env), right(env))
-        if isinstance(f, Eq):
-            left, right = self._term(f.left), self._term(f.right)
-            return lambda env: left(env) == right(env)
+    def _closure(self, f, row, depth):
+        """f as a closure over the row variable; depth maps each variable
+        in scope to the nesting level of its binding."""
+        if isinstance(f, (Leq, Eq)):
+            return self._atom(f, row)
         if isinstance(f, Not):
-            body = self._compile(f.body)
-            return lambda env: not body(env)
-        if isinstance(f, And):
-            left, right = self._compile(f.left), self._compile(f.right)
-            return lambda env: left(env) and right(env)
-        if isinstance(f, Or):
-            left, right = self._compile(f.left), self._compile(f.right)
-            return lambda env: left(env) or right(env)
-        if isinstance(f, Implies):
-            left, right = self._compile(f.left), self._compile(f.right)
-            return lambda env: not left(env) or right(env)
-        if isinstance(f, Iff):
-            left, right = self._compile(f.left), self._compile(f.right)
-            return lambda env: left(env) == right(env)
+            body = self._closure(f.body, row, depth)
+            return lambda env, care: care ^ body(env, care)
         if isinstance(f, (Exists, Forall)):
-            want_all = isinstance(f, Forall)
-            var = f.var
-            if not _has_quantifier(f.body):
-                mask_fn = self._compile_mask(f.body, var)
-                full = self.full
-                if want_all:
-                    return lambda env: mask_fn(env) == full
-                return lambda env: mask_fn(env) != 0
-            body = self._compile(f.body)
-            elements = self.elements
-
-            def sweep(env):
-                env = dict(env)
-                for u in elements:
-                    env[var] = u
-                    if body(env) != want_all:
-                        return not want_all
-                return want_all
-            return sweep
+            return self._quantifier(f, row, depth)
+        if isinstance(f, Implies):
+            return self._closure(Or(Not(f.left), f.right), row, depth)
+        left = self._closure(f.left, row, depth)
+        right = self._closure(f.right, row, depth)
+        if isinstance(f, And):     # right is asked only where left holds
+            def conjunction(env, care):
+                hit = left(env, care)
+                return right(env, hit) if hit else 0
+            return conjunction
+        if isinstance(f, Or):      # ... only where left fails
+            def disjunction(env, care):
+                hit = left(env, care)
+                return hit | right(env, care ^ hit) if hit != care else hit
+            return disjunction
+        if isinstance(f, Iff):
+            return lambda env, care: care ^ left(env, care) ^ right(env, care)
         raise TypeError('not a formula node: %r' % (f,))
 
-    def _compile_mask(self, f, var):
-        """Bulk compilation of a quantifier-free body: env -> bitmask of
-        the candidates for `var` that satisfy it."""
-        full = self.full
-        if isinstance(f, Leq):
-            return self._atom_mask(f, var, order=True)
-        if isinstance(f, Eq):
-            return self._atom_mask(f, var, order=False)
-        if isinstance(f, Not):
-            body = self._compile_mask(f.body, var)
-            return lambda env: body(env) ^ full
-        if isinstance(f, And):
-            left, right = self._compile_mask(f.left, var), self._compile_mask(f.right, var)
-            return lambda env: left(env) & right(env)
-        if isinstance(f, Or):
-            left, right = self._compile_mask(f.left, var), self._compile_mask(f.right, var)
-            return lambda env: left(env) | right(env)
-        if isinstance(f, Implies):
-            left, right = self._compile_mask(f.left, var), self._compile_mask(f.right, var)
-            return lambda env: (left(env) ^ full) | right(env)
-        if isinstance(f, Iff):
-            left, right = self._compile_mask(f.left, var), self._compile_mask(f.right, var)
-            return lambda env: (left(env) ^ right(env)) ^ full
-        raise TypeError('unexpected node in mask compilation: %r' % (f,))
-
-    def _atom_mask(self, f, var, order):
-        left_is = isinstance(f.left, Var) and f.left.name == var
-        right_is = isinstance(f.right, Var) and f.right.name == var
-        full = self.full
+    def _atom(self, f, row):
+        left_is = isinstance(f.left, Var) and f.left.name == row
+        right_is = isinstance(f.right, Var) and f.right.name == row
         if left_is and right_is:
-            return lambda env: full
-        if left_is:
-            other = self._term(f.right)
-            if order:
-                down = self._down_mask
-                return lambda env: down(other(env))
-            bit = self._bit_mask
-            return lambda env: bit(other(env))
-        if right_is:
-            other = self._term(f.left)
-            if order:
-                up = self._up_mask
-                return lambda env: up(other(env))
-            bit = self._bit_mask
-            return lambda env: bit(other(env))
-        # the bound variable does not occur: broadcast the scalar truth
-        scalar = self._compile(f)
-        return lambda env: full if scalar(env) else 0
+            return lambda env, care: care
+        if left_is or right_is:
+            other = self._operand(f.right if left_is else f.left)
+            if isinstance(f, Eq):
+                return lambda env, care: (1 << other(env)) & care
+            masks = self.down if left_is else self.up
+            return lambda env, care: masks[other(env)] & care
+        left, right = self._operand(f.left), self._operand(f.right)
+        if isinstance(f, Eq):
+            return lambda env, care: care if left(env) == right(env) else 0
+        values = self.values
+        return lambda env, care: (care if leq(values[left(env)],
+                                              values[right(env)]) else 0)
+
+    def _operand(self, t):
+        """env -> ordinal for a term other than the row variable."""
+        if isinstance(t, Const):
+            o = self.ordinal(t.value)
+            return lambda env: o
+        return operator.itemgetter(t.name)
+
+    def _quantifier(self, f, row, depth):
+        inner = dict(depth)
+        inner[f.var] = max(depth.values(), default=-1) + 1
+        body = self._closure(f.body, f.var, inner)
+        full, want_all = self.full, isinstance(f, Forall)
+
+        def holds(env):
+            mask = body(env, full)
+            return mask == full if want_all else mask != 0
+
+        free = free_vars(f)
+        q = max(free, key=depth.__getitem__, default=None)
+        rows = self.rows.setdefault(_rename(f, q, '#'), {})
+        others = sorted(free - {q})
+        key = operator.itemgetter(*others) if others else (lambda env: ())
+
+        if q is not None and q == row:
+            def sweep(env, care):
+                k = key(env)
+                known, true = rows.get(k, (0, 0))
+                need = care & ~known
+                if need:
+                    local = dict(env)
+                    for i in _ones(need):
+                        local[q] = i
+                        if holds(local):
+                            true |= 1 << i
+                    rows[k] = (known | need, true)
+                return true & care
+            return sweep
+
+        def lookup(env, care):
+            k = key(env)
+            known, true = rows.get(k, (0, 0))
+            bit = 1 << (env[q] if q else 0)
+            if not known & bit:
+                true |= bit if holds(env) else 0
+                rows[k] = (known | bit, true)
+            return care if true & bit else 0
+        return lookup
 
 
 def _check_universe(universe, config):
@@ -707,9 +729,6 @@ def compile_formula(f, universe, config):
 
 def evaluate(f, assignment, universe, config):
     """Truncated Tarski evaluation of f under the given assignment."""
-    missing = free_vars(f) - set(assignment)
-    if missing:
-        raise EvalError('unassigned free variables: %s' % ', '.join(sorted(missing)))
     return compile_formula(f, universe, config).run(dict(assignment))
 
 
@@ -720,12 +739,7 @@ def defined_set(f, free_var, universe, config):
         raise EvalError('expected exactly the free variable %r, formula has %s'
                         % (free_var, sorted(names) or 'none'))
     compiled = compile_formula(f, universe, config)
-    run = compiled.run
-    out = set()
-    for pi in universe.elements[:universe.ordinal_cutoff(config.max_card)]:
-        if run({free_var: pi}):
-            out.add(pi)
-    return out
+    return {pi for pi, in compiled.relation((free_var,), config.max_card)}
 
 
 def defined_relation(f, free_var_names, universe, config):
@@ -736,20 +750,7 @@ def defined_relation(f, free_var_names, universe, config):
         raise EvalError('free variables %s do not match %s'
                         % (sorted(names), list(free_var_names)))
     compiled = compile_formula(f, universe, config)
-    run = compiled.run
-    candidates = universe.elements[:universe.ordinal_cutoff(config.max_card)]
-    out = set()
-
-    def assign(i, env):
-        if i == len(free_var_names):
-            if run(env):
-                out.add(tuple(env[v] for v in free_var_names))
-            return
-        for pi in candidates:
-            env[free_var_names[i]] = pi
-            assign(i + 1, env)
-    assign(0, {})
-    return out
+    return compiled.relation(tuple(free_var_names), config.max_card)
 
 
 class StabilityReport:
@@ -785,10 +786,8 @@ def stability_check(f, free_var, universe, config, slack_schedule):
     if not slack_schedule:
         raise EvalError('empty slack schedule')
     _check_universe(universe, EvalConfig(config.max_card, max(slack_schedule)))
-    sets = []
-    for k in slack_schedule:
-        sets.append(defined_set(f, free_var, universe,
-                                EvalConfig(config.max_card, k)))
+    sets = [defined_set(f, free_var, universe, EvalConfig(config.max_card, k))
+            for k in slack_schedule]
     flips = []
     for before, after, k0, k1 in zip(sets, sets[1:], slack_schedule, slack_schedule[1:]):
         for pi in sorted(before ^ after, key=lambda p: (p.card, p.parts())):

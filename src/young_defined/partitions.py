@@ -22,6 +22,18 @@ class ResourceLimit(RuntimeError):
 # cardinality <= 50 is under a million, which stays comfortably in memory.
 MAX_ENUMERATION_CARD = 50
 
+# Practical ceiling for the two bit caches of one universe together
+# (Universe.down_bits and up_bits), checked before either is built.  With
+# n elements the down masks average n/2 bits and the up masks reach the
+# top of the universe, so the pair takes about 3 * n**2 / 16 bytes:
+# ~1.2 GB at maxCard 35, ~1.8 GB at 36, ~2.7 GB at 37, ~8.7 GB at 40.
+MAX_BIT_CACHE_BYTES = 2 * 2 ** 30
+
+
+def bit_cache_bytes(elements):
+    """Estimated bytes of the two bit caches over that many elements."""
+    return 3 * elements * elements // 16
+
 
 class Partition:
     """A partition in canonical run-length form.
@@ -255,10 +267,13 @@ class Universe:
         self.levels = [tuple(enumerate_level(n)) for n in range(max_card + 1)]
         self.index = {}
         self.elements = []
+        self._offsets = []   # ordinal of the first element of each level
         for n, level in enumerate(self.levels):
+            self._offsets.append(len(self.elements))
             for pos, pi in enumerate(level):
                 self.index[pi] = (n, pos)
                 self.elements.append(pi)
+        self._offsets.append(len(self.elements))
         self._down_bits = None
         self._up_bits = None
 
@@ -277,11 +292,19 @@ class Universe:
     def ordinal(self, pi):
         """Global position of pi in the level-by-level enumeration."""
         n, pos = self.index[pi]
-        return sum(len(self.levels[k]) for k in range(n)) + pos
+        return self._offsets[n] + pos
 
     def ordinal_cutoff(self, card):
         """Number of elements with cardinality <= card."""
-        return sum(len(self.levels[k]) for k in range(min(card, self.max_card) + 1))
+        return self._offsets[min(card, self.max_card) + 1]
+
+    def _check_bit_cache(self):
+        """Refuse, before allocating, caches above MAX_BIT_CACHE_BYTES."""
+        need = bit_cache_bytes(len(self.elements))
+        if need > MAX_BIT_CACHE_BYTES:
+            raise ResourceLimit('the bit caches of maxCard %d need about %d '
+                                'bytes, over the ceiling %d'
+                                % (self.max_card, need, MAX_BIT_CACHE_BYTES))
 
     def down_bits(self):
         """For each ordinal i, a bitmask of the ordinals j with elem_j <= elem_i.
@@ -290,6 +313,7 @@ class Universe:
         together with the down-sets of its lower covers.
         """
         if self._down_bits is None:
+            self._check_bit_cache()
             bits = []
             ordinals = {}
             for i, pi in enumerate(self.elements):
@@ -304,6 +328,7 @@ class Universe:
     def up_bits(self):
         """For each ordinal i, a bitmask of the ordinals j with elem_i <= elem_j."""
         if self._up_bits is None:
+            self._check_bit_cache()
             bits = [0] * len(self.elements)
             for i in range(len(self.elements) - 1, -1, -1):
                 pi = self.elements[i]

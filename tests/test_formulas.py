@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from young_defined import formulas as F
-from young_defined.catalog import is_total, is_trivial
+from young_defined.catalog import is_rectangular, is_total, is_trivial
 from young_defined.partitions import (EMPTY, enumerate_universe, leq,
                                       lower_covers, parse_partition)
 
@@ -75,6 +75,27 @@ def test_parse_errors_carry_positions():
         F.parse("const c = [1];\nforall c (c <= x)")
 
 
+@pytest.mark.parametrize('text', [
+    '(' * 3000 + 'x <= x' + ')' * 3000,
+    '!' * 3000 + 'x <= x',
+    'forall y (' * 3000 + 'x <= y' + ')' * 3000,
+    'x <= x -> ' * 3000 + 'x <= x',
+    ' & '.join(['x <= x'] * 3000),
+], ids=['parentheses', 'negations', 'quantifiers', 'implications', 'conjunctions'])
+def test_parse_refuses_deep_nesting(text):
+    with pytest.raises(F.ParseError, match='nested deeper'):
+        F.parse(text)
+
+
+def test_nesting_up_to_the_limit_parses_and_evaluates():
+    depth = F.MAX_NESTING - 2        # the innermost atom and its terms
+    f = F.parse('forall y (' * depth + 'x <= y' + ')' * depth)
+    assert F._height(f) == F.MAX_NESTING
+    assert F.defined_set(f, 'x', UNI6, F.EvalConfig(3)) == {EMPTY}
+    assert F.parse('(' * F.MAX_NESTING + 'x <= x' + ')' * F.MAX_NESTING) \
+        == F.parse('x <= x')
+
+
 # --- printing
 
 names = st.sampled_from(['x', 'y', 'z'])
@@ -98,6 +119,7 @@ def _wrap(children):
 
 
 formula_trees = st.recursive(atoms, _wrap, max_leaves=12)
+wide_formula_trees = st.recursive(atoms, _wrap, max_leaves=20)
 
 
 @given(formula_trees)
@@ -211,6 +233,88 @@ def test_evaluator_matches_naive_interpreter(f, slack):
     for assignment in _assignments(free, candidates):
         assert compiled.run(dict(assignment)) \
             == naive_eval(f, assignment, elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_formula_trees, st.integers(0, 2))
+def test_row_evaluation_matches_naive_interpreter(f, slack):
+    """defined_relation sweeps the last free variable as one bit row, a
+    different entry into the evaluator than run()."""
+    config = F.EvalConfig(2, slack)
+    universe = enumerate_universe(2 + slack)
+    candidates = universe.elements[:universe.ordinal_cutoff(2)]
+    free = sorted(F.free_vars(f))
+    want = {tuple(a[v] for v in free) for a in _assignments(free, candidates)
+            if naive_eval(f, a, universe.elements)}
+    assert F.defined_relation(f, tuple(free), universe, config) == want
+    compiled = F.compile_formula(f, universe, config)
+    for assignment in _assignments(free, candidates):
+        assert compiled.run(dict(assignment)) \
+            == (tuple(assignment[v] for v in free) in want)
+
+
+def _agrees_with_naive(text, max_card=3, slack=2):
+    """Check run() and defined_relation() against naive_eval everywhere."""
+    f = F.parse(text)
+    universe = enumerate_universe(max_card + slack)
+    config = F.EvalConfig(max_card, slack)
+    candidates = universe.elements[:universe.ordinal_cutoff(max_card)]
+    free = sorted(F.free_vars(f))
+    compiled = F.compile_formula(f, universe, config)
+    want = set()
+    for assignment in _assignments(free, candidates):
+        truth = naive_eval(f, assignment, universe.elements)
+        assert compiled.run(assignment) == truth, assignment
+        if truth:
+            want.add(tuple(assignment[v] for v in free))
+    assert F.defined_relation(f, tuple(free), universe, config) == want
+    return want
+
+
+def test_shadowed_bound_variable():
+    # the inner y is bound by exists; the last y <= x is the outer one
+    got = _agrees_with_naive("forall y (exists y (y <= x) & y <= x)")
+    assert got == set()
+    assert _agrees_with_naive("exists y (forall y (x <= y) & y = x)") \
+        == {(EMPTY,)}
+    # renaming y to z in the first forall w must stop at exists y, or it
+    # would share a row with the second, which is true everywhere
+    assert _agrees_with_naive(
+        "forall y (forall z (y = z & y <= x -> (forall w (exists y (y = w) "
+        "-> y <= w) <-> forall w (exists y (z = w) -> z <= w))))") \
+        == {(EMPTY,)}
+
+
+def test_alpha_equivalent_subformulas():
+    # the two cover tests of rectangular.fol are one row up to renaming;
+    # then one cover test with its free variables in three roles; then
+    # two foralls of one shape with the row variable on opposite sides
+    cover = "({0} <= {1} & {0} != {1} & forall w ({0} <= w & w <= {1} -> w = {0} | w = {1}))"
+    _agrees_with_naive("forall y (forall z (%s & %s -> y = z))"
+                       % (cover.format('y', 'x'), cover.format('z', 'x')))
+    _agrees_with_naive("exists y (%s & exists v (%s & %s))"
+                       % (cover.format('y', 'x'), cover.format('x', 'v'),
+                          cover.format('y', 'v')), slack=1)
+    _agrees_with_naive("forall y (forall u (u <= y -> u <= x) <-> "
+                       "forall w (w <= x -> w <= y))")
+
+
+def test_constant_outside_the_universe_in_a_nested_quantifier():
+    text = ("const big = [9]+[9];\nforall y (exists z (z <= big & y <= z "
+            "& !(big <= z)) -> y <= x | x <= y)")
+    _agrees_with_naive(text)
+    f = F.parse(text)
+    for outside in (p('[9]+[9]'), p('[9]+[8]')):
+        assert F.evaluate(f, {'x': outside}, UNI6, F.EvalConfig(5, 1)) \
+            == naive_eval(f, {'x': outside}, UNI6.elements)
+
+
+def test_rectangular_corpus_file_at_bound_10():
+    f = F.parse(F.corpus()['rectangular'])
+    universe = enumerate_universe(13)
+    want = {q for q in universe.elements if q.card <= 10 and is_rectangular(q)}
+    for slack in range(4):
+        assert F.defined_set(f, 'x', universe, F.EvalConfig(10, slack)) == want
 
 
 def _assignments(free, candidates):

@@ -2,10 +2,11 @@
 automorphisms, poset embedding, corpus and aggregate runs, CLI."""
 
 import json
+import time
 
 import pytest
 
-from young_defined import cli, harness
+from young_defined import cli, formulas, harness
 from young_defined.catalog import all_pairs
 from young_defined.partitions import parse_partition, render
 
@@ -222,7 +223,9 @@ def test_arithmetization_report():
 # --- the aggregate
 
 def test_check_all_quick_profile():
+    start = time.perf_counter()
     document, code = harness.check_all('quick')
+    wall = time.perf_counter() - start
     assert code == 0
     assert document['verdict'] == 'pass'
     assert document['schema'] == 'young-defined/1'
@@ -234,6 +237,9 @@ def test_check_all_quick_profile():
         if not suite.get('informational'):
             assert suite['verdict'] == 'pass', suite['propositionName']
     json.dumps(document)                     # must be serializable as is
+    # no suite's time is counted twice; each is rounded to the millisecond
+    suites = document['suites']
+    assert sum(s['elapsedSeconds'] for s in suites) <= wall + 0.0005 * len(suites)
 
 
 def test_check_all_rejects_unknown_profiles():
@@ -287,6 +293,28 @@ def test_cli_eval(tmp_path, capsys):
     assert 'value: False' in capsys.readouterr().out
     assert run_cli('eval', '--formula', str(path), '--assign', 'x:[3]',
                    '--max-card', '6') == 2
+
+
+@pytest.mark.parametrize('text', ['(' * 3000 + 'x <= x' + ')' * 3000,
+                                  '!' * 3000 + 'x <= x'],
+                         ids=['parentheses', 'negations'])
+def test_cli_eval_deep_nesting_exits_2(tmp_path, capsys, text):
+    path = tmp_path / 'deep.fol'
+    path.write_text(text)
+    assert run_cli('eval', '--formula', str(path), '--assign', 'x=[1]',
+                   '--max-card', '3') == 2
+    assert 'nested deeper' in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):
+    def crash(*args):
+        raise RuntimeError('boom')
+    monkeypatch.setattr(formulas, 'evaluate', crash)
+    path = tmp_path / 'query.fol'
+    path.write_text('x <= x\n')
+    assert run_cli('eval', '--formula', str(path), '--assign', 'x=[1]',
+                   '--max-card', '3') == 2
+    assert 'internal error: RuntimeError: boom' in capsys.readouterr().err
 
 
 def test_cli_eval_missing_file(capsys):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from young_defined.partitions import (EMPTY, MAX_ENUMERATION_CARD, Partition,
-                                      PartitionError, ResourceLimit, conjugate,
+from young_defined.partitions import (EMPTY, MAX_BIT_CACHE_BYTES,
+                                      MAX_ENUMERATION_CARD, Partition,
+                                      PartitionError, ResourceLimit,
+                                      bit_cache_bytes, conjugate,
                                       enumerate_level, enumerate_universe,
                                       factorial_partition, from_parts, join,
                                       leq, lower_covers, meet,
@@ -214,6 +216,7 @@ def test_universe_lookup():
     for i, pi in enumerate(UNI.elements):
         assert UNI.ordinal(pi) == i
     assert UNI.ordinal_cutoff(4) == sum(partition_count(n) for n in range(5))
+    assert UNI.ordinal_cutoff(UNI.max_card + 5) == len(UNI)
     assert parse_partition('(2,1)') in UNI
     assert len(UNI) == len(UNI.elements)
 
@@ -226,6 +229,19 @@ def test_universe_bit_caches_agree_with_leq():
             below = bool(down[j] >> i & 1)
             above = bool(up[i] >> j & 1)
             assert below == above == leq(sigma, pi)
+
+
+def test_bit_cache_ceiling():
+    def elements(max_card):
+        return sum(partition_count(n) for n in range(max_card + 1))
+    assert bit_cache_bytes(elements(35)) <= MAX_BIT_CACHE_BYTES
+    assert bit_cache_bytes(elements(40)) > MAX_BIT_CACHE_BYTES
+    big = enumerate_universe(40)
+    with pytest.raises(ResourceLimit):
+        big.down_bits()
+    with pytest.raises(ResourceLimit):
+        big.up_bits()
+    assert big._down_bits is None and big._up_bits is None
 
 
 def test_factorial_partition():

@@ -15,6 +15,8 @@ Universe and exist so the tests can certify the reduction itself at
 small bounds.
 """
 
+import itertools
+
 from .partitions import (EMPTY, Partition, ResourceLimit, from_parts, leq,
                          lower_covers, factorial_partition)
 
@@ -77,17 +79,14 @@ def has_distinct_parts(pi):
     return all(m == 1 for _, m in pi.runs)
 
 
-def char_distinct_parts(pi, universe=None):
+def char_distinct_parts(pi):
     """Distinct parts via maximal rectangles: whenever s[p] fits maximally
     in the p direction (s[p] <= pi but s[p+1] is not), one more row must
     not fit either.
 
     Quantified rectangles are built in place; s runs below the length of
-    pi and p up to its largest part.  The optional universe only asserts
-    the documented sweep bound.
+    pi and p up to its largest part.
     """
-    if universe is not None and universe.max_card < pi.card + 1:
-        raise ResourceLimit('need maxCard >= %d' % (pi.card + 1))
     for s in range(1, pi.length):
         for p in range(1, pi.largest + 1):
             if (leq(rectangle(s, p), pi)
@@ -265,7 +264,7 @@ def _add_witness(rho, pi):
     return from_parts(range(rho.card + 1, pi.card + 1))
 
 
-def char_add(rho, sigma, pi, universe=None):
+def char_add(rho, sigma, pi):
     """Addition: totals, both summands strictly below pi, and the witness
     filling (|rho|, |pi|] has length exactly |sigma|.
 
@@ -276,7 +275,7 @@ def char_add(rho, sigma, pi, universe=None):
     return _char_add(rho, sigma, pi, exact=True)
 
 
-def char_add_geq(rho, sigma, pi, universe=None):
+def char_add_geq(rho, sigma, pi):
     """Addition with the weaker length conclusion (witness length at
     least |sigma|); kept for comparison, certifies a superset."""
     return _char_add(rho, sigma, pi, exact=False)
@@ -340,13 +339,13 @@ def part_frequency(rho, sigma, pi):
     return pi.multiplicity(rho.card) == sigma.card
 
 
-def char_frequency(rho, sigma, pi, universe=None):
+def char_frequency(rho, sigma, pi):
     """Frequency via maximal rectangles, with the gap to the next larger
     part pinned exactly (the tightest probe attains equality)."""
     return _char_frequency(rho, sigma, pi, exact=True)
 
 
-def char_frequency_leq(rho, sigma, pi, universe=None):
+def char_frequency_leq(rho, sigma, pi):
     """Frequency with the literal upper-bound conclusion only (n <= m-t);
     kept for comparison, certifies a superset."""
     return _char_frequency(rho, sigma, pi, exact=False)
@@ -396,7 +395,7 @@ def _min_constrained_length(pi):
     return sum(max_rectangular_below(r, pi) for r in range(1, pi.largest + 1))
 
 
-def char_height_geq(rho, pi, universe=None):
+def char_height_geq(rho, pi):
     """|pi| >= |rho| iff every partition satisfying the forced-multiplicity
     conditions has length >= |rho|.
 
@@ -443,7 +442,7 @@ def height_eq(rho, pi):
     return pi.card == rho.card
 
 
-def char_height_eq(rho, pi, universe=None):
+def char_height_eq(rho, pi):
     """|pi| = |rho| iff |pi| >= |rho| but not |pi| >= |rho| + 1."""
     if not is_total(rho):
         raise DomainError('rho must be total')
@@ -460,7 +459,7 @@ def mult_triple(rho, sigma, pi):
     return rho.card * sigma.card == pi.card
 
 
-def char_mult(rho, sigma, pi, universe=None):
+def char_mult(rho, sigma, pi):
     """Multiplication: |pi| equals the height of the rectangle with |rho|
     parts of size |sigma|, expressed through the height-equality
     characterization (degenerate rectangles are the empty partition)."""
@@ -484,99 +483,57 @@ def reconstruction_key(pi):
 class CharacterizationPair:
     """A named predicate with its oracle, characterization and claimed class.
 
-    domain(universe) yields the argument tuples the pair is defined on,
-    in a deterministic order.  boundary(args) returns a reason string
-    when a tuple is an expected boundary case whose mismatch is reported
+    domain holds one candidate function per argument, each mapping a
+    universe to that argument's candidates; the pair is swept over their
+    product, last argument fastest.  bound is the cardinality the standard
+    profile sweeps it to.  boundary(args) returns a reason string when a
+    tuple is an expected boundary case whose mismatch is reported
     separately instead of counted as a failure.  Informational pairs
     record alternative readings; their failures do not gate a run.
     """
 
-    def __init__(self, name, arity, oracle, characterization, claimed_class,
-                 domain, needs_universe=False, universe_margin=0,
-                 boundary=None, informational=False, note=''):
+    def __init__(self, name, oracle, characterization, claimed_class,
+                 domain, bound, boundary=None, informational=False, note=''):
         self.name = name
-        self.arity = arity
         self.oracle = oracle
         self.characterization = characterization
         self.claimed_class = claimed_class
-        self.domain = domain
-        self.needs_universe = needs_universe
-        self.universe_margin = universe_margin
+        self.candidates = domain
+        self.bound = bound
         self.boundary = boundary
         self.informational = informational
         self.note = note
 
-    def evaluate(self, args, universe=None):
-        """Return (oracle verdict, characterization verdict) for one tuple."""
-        if self.needs_universe:
-            return self.oracle(*args), self.characterization(*args, universe)
-        return self.oracle(*args), self.characterization(*args)
+    @property
+    def arity(self):
+        return len(self.candidates)
+
+    def domain(self, universe):
+        """The argument tuples over universe, in a deterministic order."""
+        return itertools.product(*(each(universe) for each in self.candidates))
 
     def __repr__(self):
         return 'CharacterizationPair(%r)' % self.name
 
 
-def _totals(universe, nonempty=False):
-    out = [] if nonempty else [EMPTY]
-    out.extend(total(n) for n in range(1, universe.max_card + 1))
-    return out
+def _each(universe):
+    return universe.elements
 
 
-def _trivials(universe, nonempty=False):
-    out = [] if nonempty else [EMPTY]
-    out.extend(rectangle(m, 1) for m in range(1, universe.max_card + 1))
-    return out
+def _nonempty_totals(universe):
+    return [total(n) for n in range(1, universe.max_card + 1)]
 
 
-def _dom_each(universe):
-    for pi in universe:
-        yield (pi,)
+def _totals(universe):
+    return [EMPTY] + _nonempty_totals(universe)
 
 
-def _dom_trivial_each(universe):
-    for rho in _trivials(universe):
-        for pi in universe:
-            yield (rho, pi)
+def _nonempty_trivials(universe):
+    return [rectangle(m, 1) for m in range(1, universe.max_card + 1)]
 
 
-def _dom_nonempty_total_each(universe):
-    for rho in _totals(universe, nonempty=True):
-        for pi in universe:
-            yield (rho, pi)
-
-
-def _dom_total_each(universe):
-    for rho in _totals(universe):
-        for pi in universe:
-            yield (rho, pi)
-
-
-def _dom_total_trivial(universe):
-    for rho in _totals(universe):
-        for pi in _trivials(universe):
-            yield (rho, pi)
-
-
-def _dom_totals3(universe):
-    totals = _totals(universe)
-    for rho in totals:
-        for sigma in totals:
-            for pi in totals:
-                yield (rho, sigma, pi)
-
-
-def _dom_nonempty_total_total_rect(universe):
-    for rho in _totals(universe, nonempty=True):
-        for sigma in _trivials(universe, nonempty=True):
-            for pi in universe:
-                yield (rho, sigma, pi)
-
-
-def _dom_freq(universe):
-    for rho in _totals(universe, nonempty=True):
-        for sigma in _totals(universe, nonempty=True):
-            for pi in universe:
-                yield (rho, sigma, pi)
+def _trivials(universe):
+    return [EMPTY] + _nonempty_trivials(universe)
 
 
 def _identity_triple(args):
@@ -596,86 +553,90 @@ def _register(pair):
 
 
 _register(CharacterizationPair(
-    'lemma-3.1-total', 1, is_total, char_total, 'Delta0', _dom_each,
+    'lemma-3.1-total', is_total, char_total, 'Delta0', (_each,), bound=25,
     note='total iff the two-rows partition does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.1-trivial', 1, is_trivial, char_trivial, 'Pi1', _dom_each,
+    'lemma-3.1-trivial', is_trivial, char_trivial, 'Pi1', (_each,), bound=25,
     note='trivial iff the single part of size two does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.2-rectangular', 1, is_rectangular, char_rectangular, 'Delta2',
-    _dom_each, note='rectangular iff at most one lower cover'))
+    'lemma-3.2-rectangular', is_rectangular, char_rectangular, 'Delta2',
+    (_each,), bound=25, note='rectangular iff at most one lower cover'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-length', 2, length_equals, char_length_equals, 'Pi1',
-    _dom_trivial_each, note='length read off against trivial rectangles'))
+    'lemma-3.4-length', length_equals, char_length_equals, 'Pi1',
+    (_trivials, _each), bound=20,
+    note='length read off against trivial rectangles'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-bounded-part', 2, bounded_part, char_bounded_part, 'Delta0',
-    _dom_nonempty_total_each, note='part sizes bounded iff the next total does not fit'))
+    'lemma-3.4-bounded-part', bounded_part, char_bounded_part, 'Delta0',
+    (_nonempty_totals, _each), bound=20,
+    note='part sizes bounded iff the next total does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-rectangular-triple', 3, rectangular_triple,
-    char_rectangular_triple, 'Delta2', _dom_nonempty_total_total_rect,
+    'lemma-3.4-rectangular-triple', rectangular_triple,
+    char_rectangular_triple, 'Delta2',
+    (_nonempty_totals, _nonempty_trivials, _each), bound=12,
     note='a rectangle is its largest part, its length, and rectangularity'))
 
 _register(CharacterizationPair(
-    'prop-3.5-distinct', 1, has_distinct_parts, char_distinct_parts, 'Pi2',
-    _dom_each, needs_universe=True, universe_margin=1,
-    note='distinctness via maximal rectangles'))
+    'prop-3.5-distinct', has_distinct_parts, char_distinct_parts, 'Pi2',
+    (_each,), bound=20, note='distinctness via maximal rectangles'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-a', 2, is_part_of, char_part_of_a, 'Pi2',
-    _dom_nonempty_total_each, informational=True,
+    'prop-3.6-part-of-a', is_part_of, char_part_of_a, 'Pi2',
+    (_nonempty_totals, _each), bound=18, informational=True,
     note='variant A: final relation read as "fits"'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-b', 2, is_part_of, char_part_of_b, 'Pi2',
-    _dom_nonempty_total_each,
+    'prop-3.6-part-of-b', is_part_of, char_part_of_b, 'Pi2',
+    (_nonempty_totals, _each), bound=18,
     note='variant B: final relation read as "does not fit"'))
 
 _register(CharacterizationPair(
-    'prop-3.7-factorial', 2, is_factorial, char_factorial, 'Pi2',
-    _dom_total_each, note='staircase iff all smaller totals appear, distinctly'))
+    'prop-3.7-factorial', is_factorial, char_factorial, 'Pi2',
+    (_totals, _each), bound=15,
+    note='staircase iff all smaller totals appear, distinctly'))
 
 _register(CharacterizationPair(
-    'lemma-3.8-same-height', 2, same_height_total_trivial,
-    char_same_height_total_trivial, 'Pi3', _dom_total_trivial,
+    'lemma-3.8-same-height', same_height_total_trivial,
+    char_same_height_total_trivial, 'Pi3', (_totals, _trivials), bound=15,
     note='equal height read off the length of the staircase witness'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add', 3, add_triple, char_add, 'Pi3', _dom_totals3,
+    'prop-3.9-add', add_triple, char_add, 'Pi3', (_totals,) * 3, bound=12,
     boundary=_identity_triple,
     note='witness length pinned exactly; see the -geq variant for the '
          'weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add-geq', 3, add_triple, char_add_geq, 'Pi3', _dom_totals3,
-    boundary=_identity_triple, informational=True,
+    'prop-3.9-add-geq', add_triple, char_add_geq, 'Pi3', (_totals,) * 3,
+    bound=12, boundary=_identity_triple, informational=True,
     note='lower-bound reading: accepts every triple with |rho|+|sigma| <= |pi|'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency', 3, part_frequency, char_frequency, 'Pi3',
-    _dom_freq, note='gap to the next larger part pinned exactly; see the '
-                    '-leq variant for the weaker reading'))
+    'prop-3.10-frequency', part_frequency, char_frequency, 'Pi3',
+    (_nonempty_totals, _nonempty_totals, _each), bound=15,
+    note='gap to the next larger part pinned exactly; see the -leq variant '
+         'for the weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency-leq', 3, part_frequency, char_frequency_leq, 'Pi3',
-    _dom_freq, informational=True,
+    'prop-3.10-frequency-leq', part_frequency, char_frequency_leq, 'Pi3',
+    (_nonempty_totals, _nonempty_totals, _each), bound=15, informational=True,
     note='upper-bound reading: accepts frequencies below the true one'))
 
 _register(CharacterizationPair(
-    'prop-3.11-height-geq', 2, height_geq, char_height_geq, 'Pi3',
-    _dom_total_each,
+    'prop-3.11-height-geq', height_geq, char_height_geq, 'Pi3',
+    (_totals, _each), bound=12,
     note='support-reduced universal quantifier over constrained partitions'))
 
 _register(CharacterizationPair(
-    'prop-3.12-height-eq', 2, height_eq, char_height_eq, 'Pi3',
-    _dom_total_each, note='sandwich of two height comparisons'))
+    'prop-3.12-height-eq', height_eq, char_height_eq, 'Pi3',
+    (_totals, _each), bound=12, note='sandwich of two height comparisons'))
 
 _register(CharacterizationPair(
-    'prop-3.13-mult', 3, mult_triple, char_mult, 'Pi3', _dom_totals3,
+    'prop-3.13-mult', mult_triple, char_mult, 'Pi3', (_totals,) * 3, bound=20,
     note='height equality against the rectangle built from the factors'))
 
 

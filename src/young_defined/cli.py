@@ -43,7 +43,7 @@ def _print_report(report, as_json):
 
 
 def _cmd_check_prop(args):
-    report = harness.check_proposition(args.name, args.max_card, args.slack)
+    report = harness.check_proposition(args.name, args.max_card)
     _print_report(report, args.json)
     return 0 if report.verdict == 'pass' else 1
 
@@ -54,10 +54,7 @@ def _cmd_check_all(args):
         print(json.dumps(document, sort_keys=True, indent=2))
     else:
         for suite in document['suites']:
-            tag = ' (informational)' if suite.get('informational') else ''
-            print('%-44s %-8s %8d tuples, %d mismatches%s' % (
-                suite['propositionName'], suite['verdict'].upper(),
-                suite['totalTuplesChecked'], suite['mismatchCount'], tag))
+            print(harness.summary_line(suite))
         print('profile %s: %s' % (document['profile'],
                                   document['verdict'].upper()))
     return code
@@ -138,7 +135,6 @@ def build_parser():
                    help='one of: %s' % ', '.join(sorted(
                        pair.name for pair in all_pairs())))
     p.add_argument('--max-card', type=int, required=True)
-    p.add_argument('--slack', type=int, default=0)
     p.add_argument('--json', action='store_true')
     p.set_defaults(run=_cmd_check_prop)
 

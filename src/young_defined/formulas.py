@@ -713,18 +713,13 @@ class _Compiled:
         return lookup
 
 
-def _check_universe(universe, config):
+def compile_formula(f, universe, config):
+    """Compile once for repeated evaluation over the same universe."""
     need = config.max_card + config.slack
     if universe.max_card < need:
         raise EvalError('universe covers cardinality %d but the evaluation '
                         'needs %d' % (universe.max_card, need))
-
-
-def compile_formula(f, universe, config):
-    """Compile once for repeated evaluation over the same universe."""
-    _check_universe(universe, config)
-    cutoff = universe.ordinal_cutoff(config.max_card + config.slack)
-    return _Compiled(f, universe, cutoff)
+    return _Compiled(f, universe, universe.ordinal_cutoff(need))
 
 
 def evaluate(f, assignment, universe, config):
@@ -753,20 +748,6 @@ def defined_relation(f, free_var_names, universe, config):
     return compiled.relation(tuple(free_var_names), config.max_card)
 
 
-class StabilityReport:
-    """Defined sets at each slack in a schedule, with membership flips."""
-
-    def __init__(self, slacks, sizes, flips):
-        self.slacks = slacks
-        self.sizes = sizes
-        self.flips = flips
-        self.stable = not flips
-
-    def __repr__(self):
-        return ('StabilityReport(slacks=%r, sizes=%r, stable=%r, flips=%d)'
-                % (self.slacks, self.sizes, self.stable, len(self.flips)))
-
-
 def corpus():
     """The bundled formula files as {name: source text}, sorted by name."""
     root = importlib.resources.files('young_defined') / 'corpus'
@@ -777,19 +758,23 @@ def corpus():
     return out
 
 
-def stability_check(f, free_var, universe, config, slack_schedule):
-    """Recompute the defined set at each slack and flag membership flips.
+def stability_check(f, names, universe, max_card, slacks):
+    """The defined set of f over its free variables names at each slack,
+    and the membership flips between consecutive slacks, each as (value,
+    slack before, slack after, member before), sorted by repr per step.
 
-    Each flip is reported as (partition, slack before, slack after,
-    member before, member after).
+    A set holds partitions for one name and tuples for more.
     """
-    if not slack_schedule:
+    if not slacks:
         raise EvalError('empty slack schedule')
-    _check_universe(universe, EvalConfig(config.max_card, max(slack_schedule)))
-    sets = [defined_set(f, free_var, universe, EvalConfig(config.max_card, k))
-            for k in slack_schedule]
-    flips = []
-    for before, after, k0, k1 in zip(sets, sets[1:], slack_schedule, slack_schedule[1:]):
-        for pi in sorted(before ^ after, key=lambda p: (p.card, p.parts())):
-            flips.append((pi, k0, k1, pi in before, pi in after))
-    return StabilityReport(list(slack_schedule), [len(s) for s in sets], flips)
+    sets = []
+    for k in slacks:
+        config = EvalConfig(max_card, k)
+        if len(names) == 1:
+            sets.append(defined_set(f, names[0], universe, config))
+        else:
+            sets.append(defined_relation(f, names, universe, config))
+    flips = [(value, k0, k1, value in before)
+             for k0, k1, before, after in zip(slacks, slacks[1:], sets, sets[1:])
+             for value in sorted(before ^ after, key=repr)]
+    return sets, flips

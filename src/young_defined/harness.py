@@ -7,7 +7,9 @@ but every count is exact.  Reports are byte-deterministic for the same
 inputs except for the elapsed-seconds field.
 """
 
+import functools
 import json
+import re
 import time
 
 from . import formulas
@@ -77,39 +79,41 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary_line(self):
-        tag = ' (informational)' if self.informational else ''
-        extra = ''
-        if self.boundary_count:
-            extra = ', %d boundary' % self.boundary_count
-        return '%-34s %-8s %7d tuples, %d mismatches%s, %.2fs%s' % (
-            self.name, self.verdict.upper(), self.total_checked,
-            self.mismatch_count, extra, self.elapsed, tag)
+        return summary_line(self.to_dict())
+
+
+def summary_line(doc):
+    """One human line for a report document, as CheckReport.to_dict gives."""
+    tag = ' (informational)' if doc.get('informational') else ''
+    extra = ''
+    if doc.get('boundaryCount'):
+        extra = ', %d boundary' % doc['boundaryCount']
+    return '%-34s %-8s %7d tuples, %d mismatches%s, %.2fs%s' % (
+        doc['propositionName'], doc['verdict'].upper(),
+        doc['totalTuplesChecked'], doc['mismatchCount'], extra,
+        doc['elapsedSeconds'], tag)
 
 
 # ---------------------------------------------------------------------------
 # proposition sweeps
 
-def check_proposition(name, max_card, slack=0):
+def check_proposition(name, max_card):
     """Sweep one registered oracle/characterization pair exhaustively."""
     try:
         pair = get_pair(name)
     except KeyError as exc:
         raise UsageError(str(exc))
-    return run_pair(pair, max_card, slack)
+    return run_pair(pair, max_card)
 
 
-def run_pair(pair, max_card, slack=0):
+def run_pair(pair, max_card):
     start = time.perf_counter()
-    sweep = enumerate_universe(max_card)
-    aux = None
-    if pair.needs_universe:
-        aux = enumerate_universe(max_card + pair.universe_margin + slack)
     total_checked = 0
     mismatches = []
     boundary = []
-    for args in pair.domain(sweep):
+    for args in pair.domain(enumerate_universe(max_card)):
         total_checked += 1
-        want, got = pair.evaluate(args, aux)
+        want, got = pair.oracle(*args), pair.characterization(*args)
         if want != got:
             entry = {'args': [render(a) for a in args],
                      'oracle': want, 'characterization': got}
@@ -122,16 +126,16 @@ def run_pair(pair, max_card, slack=0):
     verdict = 'pass' if not mismatches else 'fail'
     return CheckReport(
         pair.name,
-        'all registered domain tuples with cardinality <= %d (slack %d)'
-        % (max_card, slack),
+        'all registered domain tuples with cardinality <= %d (slack 0)'
+        % max_card,
         total_checked, mismatches, time.perf_counter() - start, verdict,
         boundary=boundary, informational=pair.informational, note=pair.note)
 
 
-def resolve_variants(name_a, name_b, max_card, slack=0):
+def resolve_variants(name_a, name_b, max_card):
     """Run two readings of the same proposition; exactly one must pass."""
-    return variant_resolution(check_proposition(name_a, max_card, slack),
-                              check_proposition(name_b, max_card, slack))
+    return variant_resolution(check_proposition(name_a, max_card),
+                              check_proposition(name_b, max_card))
 
 
 def variant_resolution(report_a, report_b):
@@ -362,6 +366,7 @@ def embed_poset(poset, max_card):
     strict_up = [up[o] & ~(1 << o) for o in range(m)]
     incomparable = [full & ~(down[o] | up[o]) for o in range(m)]
 
+    @functools.cache
     def depth(e):
         below = [a for a, b in poset.less if b == e]
         if not below:
@@ -459,23 +464,17 @@ def embed_report(name, poset, max_card, expect_found=True):
 # ---------------------------------------------------------------------------
 # formula corpus suite
 
-_CORPUS_CLASS = {
-    'cover': 'Pi1',
-    'totality': 'Delta0',
-    'triviality': 'Pi1',
-    'empty': 'Pi1',
-    'maximal-below': 'Pi2',
-    'rectangular': 'Pi2',
-}
-
-_CORPUS_BOUND = {
-    'cover': 8,
-    'totality': 12,
-    'triviality': 12,
-    'empty': 12,
-    'maximal-below': 10,
-    'rectangular': 9,
-}
+def _corpus_header(text):
+    """The class and the standard bound a corpus file declares on its
+    `# class: NAME` and `# bound: N` lines, each required exactly once."""
+    header = []
+    for key, value in (('class', r'\w+'), ('bound', r'\d+')):
+        found = re.findall(r'^# %s: *(%s) *$' % (key, value), text, re.M)
+        if len(found) != 1:
+            raise UsageError('a corpus file needs exactly one well-formed '
+                             '`# %s:` line, found %d' % (key, len(found)))
+        header.append(found[0])
+    return header[0], int(header[1])
 
 
 def _corpus_expectation(name, universe, max_card):
@@ -499,27 +498,24 @@ def _corpus_expectation(name, universe, max_card):
 
 def corpus_report(name, text, max_card=None, slacks=(0, 1, 2, 3)):
     """Roundtrip, classification, oracle agreement and slack stability
-    for one bundled formula file."""
+    for one bundled formula file; the class and, unless max_card is
+    given, the bound come from the file's header lines."""
     start = time.perf_counter()
-    bound = max_card if max_card is not None else _CORPUS_BOUND[name]
+    want_class, bound = _corpus_header(text)
+    if max_card is not None:
+        bound = max_card
     formula = formulas.parse(text)
     mismatches = []
     if formulas.parse(formulas.print_file(formula)) != formula:
         mismatches.append({'problem': 'printer roundtrip changed the tree'})
     got_class = str(formulas.prenex_classify(formula))
-    if got_class != _CORPUS_CLASS[name]:
+    if got_class != want_class:
         mismatches.append({'problem': 'classification drifted',
-                           'expected': _CORPUS_CLASS[name], 'got': got_class})
-    free = sorted(formulas.free_vars(formula))
+                           'expected': want_class, 'got': got_class})
+    free = tuple(sorted(formulas.free_vars(formula)))
     universe = enumerate_universe(bound + max(slacks))
-    sets = []
-    for k in slacks:
-        config = formulas.EvalConfig(bound, k)
-        if len(free) == 1:
-            sets.append(formulas.defined_set(formula, free[0], universe, config))
-        else:
-            sets.append(formulas.defined_relation(formula, tuple(free),
-                                                  universe, config))
+    sets, flips = formulas.stability_check(formula, free, universe, bound,
+                                           slacks)
     expected = _corpus_expectation(name, universe, bound)
     total_checked = len(slacks) * universe.ordinal_cutoff(bound) ** len(free)
     for k, got in zip(slacks, sets):
@@ -529,11 +525,6 @@ def corpus_report(name, text, max_card=None, slacks=(0, 1, 2, 3)):
             mismatches.append({'problem': 'disagrees with the oracle set',
                                'slack': k, 'difference': len(got ^ expected),
                                'sample': [repr(s) for s in sample]})
-    flips = []
-    for k0, k1, before, after in zip(slacks, slacks[1:], sets, sets[1:]):
-        for value in before ^ after:
-            flips.append({'value': repr(value), 'fromSlack': k0, 'toSlack': k1,
-                          'wasMember': value in before})
     if mismatches:
         verdict = 'fail'
     elif flips:
@@ -545,7 +536,10 @@ def corpus_report(name, text, max_card=None, slacks=(0, 1, 2, 3)):
         'free variables <= %d, slacks %s' % (bound, list(slacks)),
         total_checked, mismatches, time.perf_counter() - start, verdict,
         details={'class': got_class, 'setSizes': [len(s) for s in sets],
-                 'flips': flips[:WITNESS_CAP], 'flipCount': len(flips)})
+                 'flips': [{'value': repr(value), 'fromSlack': k0,
+                            'toSlack': k1, 'wasMember': was}
+                           for value, k0, k1, was in flips[:WITNESS_CAP]],
+                 'flipCount': len(flips)})
 
 
 # ---------------------------------------------------------------------------
@@ -602,34 +596,14 @@ def arithmetization_report(max_card, integer_ceiling, pair_card, bridge_bound):
 # ---------------------------------------------------------------------------
 # profiles
 
-_STANDARD_BOUNDS = {
-    'lemma-3.1-total': 25,
-    'lemma-3.1-trivial': 25,
-    'lemma-3.2-rectangular': 25,
-    'lemma-3.4-length': 20,
-    'lemma-3.4-bounded-part': 20,
-    'lemma-3.4-rectangular-triple': 12,
-    'prop-3.5-distinct': 20,
-    'prop-3.6-part-of-a': 18,
-    'prop-3.6-part-of-b': 18,
-    'prop-3.7-factorial': 15,
-    'lemma-3.8-same-height': 15,
-    'prop-3.9-add': 12,
-    'prop-3.9-add-geq': 12,
-    'prop-3.10-frequency': 15,
-    'prop-3.10-frequency-leq': 15,
-    'prop-3.11-height-geq': 12,
-    'prop-3.12-height-eq': 12,
-    'prop-3.13-mult': 20,
-}
-
 PROFILES = ('quick', 'standard', 'thorough')
 
 
-def _pair_bound(name, profile):
-    standard = _STANDARD_BOUNDS[name]
+def _profile_bound(standard, profile, quick_cap):
+    """A suite's bound at a profile, from the bound it declares for the
+    standard one: capped for quick, one step further for thorough."""
     if profile == 'quick':
-        return min(standard, 8)
+        return min(standard, quick_cap)
     if profile == 'thorough':
         return standard + 1
     return standard
@@ -650,7 +624,7 @@ def check_all(profile):
     reports = []
     by_name = {}
     for pair in all_pairs():
-        report = run_pair(pair, _pair_bound(pair.name, profile))
+        report = run_pair(pair, _profile_bound(pair.bound, profile, 8))
         by_name[pair.name] = report
         reports.append(report)
     reports.append(variant_resolution(by_name['prop-3.6-part-of-a'],
@@ -663,11 +637,7 @@ def check_all(profile):
         pair_card=8 if quick else 12,
         bridge_bound=10 if quick else 30))
     for name, text in sorted(formulas.corpus().items()):
-        bound = _CORPUS_BOUND[name]
-        if quick:
-            bound = min(bound, 6)
-        elif thorough:
-            bound += 1
+        bound = _profile_bound(_corpus_header(text)[1], profile, 6)
         reports.append(corpus_report(name, text, max_card=bound,
                                      slacks=(0, 1) if quick else (0, 1, 2, 3)))
     reports.append(embed_report('embed-chain-5', FinitePoset.chain(5),

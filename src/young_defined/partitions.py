@@ -253,8 +253,8 @@ class Universe:
 
     Level n holds the partitions of n in reverse-lexicographic order on
     the descending part sequence, so enumeration is reproducible run to
-    run.  index maps a partition to its (level, position); ordinals give
-    a single global numbering, level by level, used for bitmask caches.
+    run.  index maps a partition to its ordinal, its position in one
+    global numbering level by level, which the bitmask caches use.
     """
 
     def __init__(self, max_card):
@@ -268,10 +268,10 @@ class Universe:
         self.index = {}
         self.elements = []
         self._offsets = []   # ordinal of the first element of each level
-        for n, level in enumerate(self.levels):
+        for level in self.levels:
             self._offsets.append(len(self.elements))
-            for pos, pi in enumerate(level):
-                self.index[pi] = (n, pos)
+            for pi in level:
+                self.index[pi] = len(self.elements)
                 self.elements.append(pi)
         self._offsets.append(len(self.elements))
         self._down_bits = None
@@ -291,8 +291,7 @@ class Universe:
 
     def ordinal(self, pi):
         """Global position of pi in the level-by-level enumeration."""
-        n, pos = self.index[pi]
-        return self._offsets[n] + pos
+        return self.index[pi]
 
     def ordinal_cutoff(self, card):
         """Number of elements with cardinality <= card."""
@@ -315,12 +314,10 @@ class Universe:
         if self._down_bits is None:
             self._check_bit_cache()
             bits = []
-            ordinals = {}
             for i, pi in enumerate(self.elements):
-                ordinals[pi] = i
                 mask = 1 << i
                 for sigma in lower_covers(pi):
-                    mask |= bits[ordinals[sigma]]
+                    mask |= bits[self.index[sigma]]
                 bits.append(mask)
             self._down_bits = bits
         return self._down_bits
@@ -335,7 +332,7 @@ class Universe:
                 mask = 1 << i
                 if pi.card < self.max_card:
                     for rho in _upper_cover_runs(pi):
-                        mask |= bits[self.ordinal(rho)]
+                        mask |= bits[self.index[rho]]
                 bits[i] = mask
             self._up_bits = bits
         return self._up_bits

@@ -379,17 +379,30 @@ def test_stability_check_flags_a_truncation_sensitive_formula():
     # "x is maximal" is an artifact of truncation: adding one level
     # falsifies every previous member
     f = F.parse("forall y (x <= y -> x = y)")
-    report = F.stability_check(f, 'x', UNI6, F.EvalConfig(3), [0, 1])
-    assert not report.stable
-    assert report.sizes[0] > 0 and report.sizes[1] == 0
-    assert all(was and not now for _, _, _, was, now in report.flips)
+    sets, flips = F.stability_check(f, ('x',), UNI6, 3, [0, 1])
+    assert flips
+    assert len(sets[0]) > 0 and len(sets[1]) == 0
+    assert all(was and value not in sets[1] for value, _, _, was in flips)
 
 
 def test_stability_check_on_a_stable_formula():
     f = F.parse("forall y (x <= y)")
-    report = F.stability_check(f, 'x', UNI6, F.EvalConfig(3), [0, 1, 2, 3])
-    assert report.stable and report.sizes == [1, 1, 1, 1]
+    sets, flips = F.stability_check(f, ('x',), UNI6, 3, [0, 1, 2, 3])
+    assert not flips and [len(s) for s in sets] == [1, 1, 1, 1]
     assert F.defined_set(f, 'x', UNI6, F.EvalConfig(3, 3)) == {EMPTY}
+
+
+def test_stability_check_over_two_variables():
+    # "y is maximal" flips for every pair once one more level exists;
+    # the flips are tuples, sorted by repr
+    f = F.parse("x <= y & forall z (y <= z -> z = y)")
+    sets, flips = F.stability_check(f, ('x', 'y'), UNI6, 2, [0, 1])
+    assert sets[0] == {(s, q) for q in UNI6.elements if q.card == 2
+                       for s in UNI6.elements if leq(s, q)}
+    assert sets[1] == set()
+    assert flips == [(v, 0, 1, True) for v in sorted(sets[0], key=repr)]
+    with pytest.raises(F.EvalError):
+        F.stability_check(f, ('x', 'y'), UNI6, 2, [])
 
 
 def test_corpus_is_bundled():

@@ -2,6 +2,8 @@
 automorphisms, poset embedding, corpus and aggregate runs, CLI."""
 
 import json
+import pathlib
+import re
 import time
 
 import pytest
@@ -26,7 +28,7 @@ def test_check_proposition_passes_on_a_sound_pair():
 
 def test_reports_are_deterministic_up_to_elapsed_time():
     def snapshot():
-        doc = harness.check_proposition('prop-3.9-add', 8, slack=1).to_dict()
+        doc = harness.check_proposition('prop-3.9-add', 8).to_dict()
         del doc['elapsedSeconds']
         return json.dumps(doc, sort_keys=True)
     assert snapshot() == snapshot()
@@ -196,6 +198,9 @@ def test_embed_report_both_expectations():
 
 # --- corpus and arithmetization suites
 
+COVER = 'x <= y & x != y & forall z (x <= z & z <= y -> x = z | z = y)'
+
+
 def test_corpus_report_passes_each_bundled_formula():
     from young_defined import formulas
     for name, text in sorted(formulas.corpus().items()):
@@ -205,11 +210,30 @@ def test_corpus_report_passes_each_bundled_formula():
 
 
 def test_corpus_report_catches_a_swapped_formula():
-    report = harness.corpus_report('cover', 'x <= y & x != y', max_card=5)
+    report = harness.corpus_report(
+        'cover', '# class: Pi1\n# bound: 8\nx <= y & x != y', max_card=5)
     assert report.verdict == 'fail'
     problems = {w['problem'] for w in report.witnesses}
     assert 'classification drifted' in problems
     assert 'disagrees with the oracle set' in problems
+
+
+def test_each_corpus_file_declares_its_class_and_bound():
+    for name, text in formulas.corpus().items():
+        lines = text.splitlines()
+        assert len([l for l in lines if l.startswith('# class: ')]) == 1, name
+        assert len([l for l in lines if l.startswith('# bound: ')]) == 1, name
+
+
+def test_corpus_report_needs_a_declared_class(monkeypatch, capsys):
+    with pytest.raises(harness.UsageError):
+        harness.corpus_report('cover', '# bound: 8\n' + COVER, max_card=3)
+    with pytest.raises(harness.UsageError):
+        harness.corpus_report('cover', '# class: Pi1\n# class: Pi1\n'
+                              '# bound: 8\n' + COVER, max_card=3)
+    monkeypatch.setattr(formulas, 'corpus', lambda: {'cover': COVER})
+    assert run_cli('check-all', '--profile', 'quick') == 2
+    assert 'class:' in capsys.readouterr().err
 
 
 def test_arithmetization_report():
@@ -240,6 +264,27 @@ def test_check_all_quick_profile():
     # no suite's time is counted twice; each is rounded to the millisecond
     suites = document['suites']
     assert sum(s['elapsedSeconds'] for s in suites) <= wall + 0.0005 * len(suites)
+
+
+def test_check_all_quick_matches_the_recorded_report(capsys):
+    # a recorded quick-profile report: every byte but the timings must
+    # survive a change to how bounds, classes and domains are declared
+    assert run_cli('check-all', '--profile', 'quick', '--json') == 0
+    elapsed = re.compile(r'\n\s*"elapsedSeconds": [^\n]*')
+    recorded = (pathlib.Path(__file__).parent / 'data'
+                / 'check_all_quick.json').read_text(encoding='utf-8')
+    assert elapsed.sub('', capsys.readouterr().out) == elapsed.sub('', recorded)
+
+
+def test_check_all_human_output_times_each_suite(capsys):
+    assert run_cli('check-all', '--profile', 'quick') == 0
+    lines = capsys.readouterr().out.splitlines()
+    document, _ = harness.check_all('quick')
+    assert len(lines) == len(document['suites']) + 1
+    for line, suite in zip(lines, document['suites']):
+        assert line.startswith(suite['propositionName'] + ' ')
+        assert re.search(r', \d+\.\d\ds( \(informational\))?$', line), line
+    assert lines[-1] == 'profile quick: PASS'
 
 
 def test_check_all_rejects_unknown_profiles():
@@ -332,6 +377,18 @@ def test_cli_embed(tmp_path, capsys):
     big = tmp_path / 'antichain.txt'
     big.write_text(''.join('elem a%d\n' % i for i in range(8)))
     assert run_cli('embed', '--poset', str(big), '--max-card', '4') == 1
+    assert 'not found' in capsys.readouterr().out
+
+
+def test_embed_a_long_chain_in_little_time(tmp_path, capsys):
+    chain = harness.FinitePoset.chain(40)
+    start = time.perf_counter()
+    assert harness.embed_poset(chain, 3) is None
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / 'chain.txt'
+    path.write_text(''.join('elem e%d\n' % i for i in range(1, 41))
+                    + ''.join('lt e%d e%d\n' % (i, i + 1) for i in range(1, 40)))
+    assert run_cli('embed', '--poset', str(path), '--max-card', '3') == 1
     assert 'not found' in capsys.readouterr().out
 
 

@@ -214,7 +214,7 @@ def test_enumeration_ceiling():
 
 def test_universe_lookup():
     for i, pi in enumerate(UNI.elements):
-        assert UNI.ordinal(pi) == i
+        assert UNI.ordinal(pi) == UNI.index[pi] == i
     assert UNI.ordinal_cutoff(4) == sum(partition_count(n) for n in range(5))
     assert UNI.ordinal_cutoff(UNI.max_card + 5) == len(UNI)
     assert parse_partition('(2,1)') in UNI

@@ -154,9 +154,10 @@ def encode(sigma):
         return 0
     if sigma.largest == 1:
         return 2 ** (sigma.length - 1)
+    primes = _primes or _tables()[1]
     value = 1
     for n, m in sigma.runs:
-        value *= nth_prime(n) ** m
+        value *= (primes[n - 1] if n <= len(primes) else nth_prime(n)) ** m
     return value
 
 
@@ -206,9 +207,8 @@ def decode(n):
         return EMPTY
     if n & (n - 1) == 0:
         return Partition(((1, n.bit_length()),))
-    runs = _runs(n)
-    runs.sort(reverse=True)
-    return Partition(runs)
+    # _runs is ascending by prime, so its reverse is the canonical order
+    return Partition(reversed(_runs(n)))
 
 
 def primexp(i, m, n):

@@ -15,6 +15,7 @@ Universe and exist so the tests can certify the reduction itself at
 small bounds.
 """
 
+import functools
 import itertools
 
 from .partitions import (EMPTY, Partition, ResourceLimit, from_parts, leq,
@@ -25,8 +26,15 @@ class DomainError(ValueError):
     """An argument tuple falls outside a predicate's declared domain."""
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def rectangle(mult, size):
-    """The partition with `mult` parts of size `size`; either 0 gives the empty one."""
+    """The partition with `mult` parts of size `size`; either 0 gives the empty one.
+
+    Memoized, since partitions are immutable and the sweeps ask for the
+    same few hundred rectangles over and over (both sides stay within
+    maxCard + 2, so the cache stays small); typed, so 2.0 is never
+    served the cached answer for 2 and is still refused.
+    """
     if mult == 0 or size == 0:
         return EMPTY
     return Partition(((size, mult),))
@@ -44,6 +52,11 @@ def strictly_less(sigma, pi):
 # ---------------------------------------------------------------------------
 # simple shape predicates
 
+# the probes of char_total and char_trivial: 2[1] and [2]
+_TWO_ROWS = Partition(((1, 2),))
+_ONE_PART_OF_TWO = Partition(((2, 1),))
+
+
 def is_total(pi):
     """At most one part."""
     return pi.length <= 1
@@ -51,7 +64,7 @@ def is_total(pi):
 
 def char_total(pi):
     """Total iff the two-rows partition does not fit inside pi."""
-    return not leq(Partition(((1, 2),)), pi)
+    return not leq(_TWO_ROWS, pi)
 
 
 def is_trivial(pi):
@@ -61,7 +74,7 @@ def is_trivial(pi):
 
 def char_trivial(pi):
     """Trivial iff the single part of size two does not fit inside pi."""
-    return not leq(Partition(((2, 1),)), pi)
+    return not leq(_ONE_PART_OF_TWO, pi)
 
 
 def is_rectangular(pi):
@@ -481,7 +494,7 @@ def reconstruction_key(pi):
 # the registry
 
 class CharacterizationPair:
-    """A named predicate with its oracle, characterization and claimed class.
+    """A named predicate with its oracle and characterization.
 
     domain holds one candidate function per argument, each mapping a
     universe to that argument's candidates; the pair is swept over their
@@ -492,12 +505,11 @@ class CharacterizationPair:
     record alternative readings; their failures do not gate a run.
     """
 
-    def __init__(self, name, oracle, characterization, claimed_class,
-                 domain, bound, boundary=None, informational=False, note=''):
+    def __init__(self, name, oracle, characterization, domain, bound,
+                 boundary=None, informational=False, note=''):
         self.name = name
         self.oracle = oracle
         self.characterization = characterization
-        self.claimed_class = claimed_class
         self.candidates = domain
         self.bound = bound
         self.boundary = boundary
@@ -553,90 +565,90 @@ def _register(pair):
 
 
 _register(CharacterizationPair(
-    'lemma-3.1-total', is_total, char_total, 'Delta0', (_each,), bound=25,
+    'lemma-3.1-total', is_total, char_total, (_each,), bound=25,
     note='total iff the two-rows partition does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.1-trivial', is_trivial, char_trivial, 'Pi1', (_each,), bound=25,
+    'lemma-3.1-trivial', is_trivial, char_trivial, (_each,), bound=25,
     note='trivial iff the single part of size two does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.2-rectangular', is_rectangular, char_rectangular, 'Delta2',
-    (_each,), bound=25, note='rectangular iff at most one lower cover'))
+    'lemma-3.2-rectangular', is_rectangular, char_rectangular, (_each,),
+    bound=25, note='rectangular iff at most one lower cover'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-length', length_equals, char_length_equals, 'Pi1',
+    'lemma-3.4-length', length_equals, char_length_equals,
     (_trivials, _each), bound=20,
     note='length read off against trivial rectangles'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-bounded-part', bounded_part, char_bounded_part, 'Delta0',
+    'lemma-3.4-bounded-part', bounded_part, char_bounded_part,
     (_nonempty_totals, _each), bound=20,
     note='part sizes bounded iff the next total does not fit'))
 
 _register(CharacterizationPair(
     'lemma-3.4-rectangular-triple', rectangular_triple,
-    char_rectangular_triple, 'Delta2',
-    (_nonempty_totals, _nonempty_trivials, _each), bound=12,
+    char_rectangular_triple, (_nonempty_totals, _nonempty_trivials, _each),
+    bound=12,
     note='a rectangle is its largest part, its length, and rectangularity'))
 
 _register(CharacterizationPair(
-    'prop-3.5-distinct', has_distinct_parts, char_distinct_parts, 'Pi2',
-    (_each,), bound=20, note='distinctness via maximal rectangles'))
+    'prop-3.5-distinct', has_distinct_parts, char_distinct_parts, (_each,),
+    bound=20, note='distinctness via maximal rectangles'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-a', is_part_of, char_part_of_a, 'Pi2',
+    'prop-3.6-part-of-a', is_part_of, char_part_of_a,
     (_nonempty_totals, _each), bound=18, informational=True,
     note='variant A: final relation read as "fits"'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-b', is_part_of, char_part_of_b, 'Pi2',
+    'prop-3.6-part-of-b', is_part_of, char_part_of_b,
     (_nonempty_totals, _each), bound=18,
     note='variant B: final relation read as "does not fit"'))
 
 _register(CharacterizationPair(
-    'prop-3.7-factorial', is_factorial, char_factorial, 'Pi2',
+    'prop-3.7-factorial', is_factorial, char_factorial,
     (_totals, _each), bound=15,
     note='staircase iff all smaller totals appear, distinctly'))
 
 _register(CharacterizationPair(
     'lemma-3.8-same-height', same_height_total_trivial,
-    char_same_height_total_trivial, 'Pi3', (_totals, _trivials), bound=15,
+    char_same_height_total_trivial, (_totals, _trivials), bound=15,
     note='equal height read off the length of the staircase witness'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add', add_triple, char_add, 'Pi3', (_totals,) * 3, bound=12,
+    'prop-3.9-add', add_triple, char_add, (_totals,) * 3, bound=12,
     boundary=_identity_triple,
     note='witness length pinned exactly; see the -geq variant for the '
          'weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add-geq', add_triple, char_add_geq, 'Pi3', (_totals,) * 3,
+    'prop-3.9-add-geq', add_triple, char_add_geq, (_totals,) * 3,
     bound=12, boundary=_identity_triple, informational=True,
     note='lower-bound reading: accepts every triple with |rho|+|sigma| <= |pi|'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency', part_frequency, char_frequency, 'Pi3',
+    'prop-3.10-frequency', part_frequency, char_frequency,
     (_nonempty_totals, _nonempty_totals, _each), bound=15,
     note='gap to the next larger part pinned exactly; see the -leq variant '
          'for the weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency-leq', part_frequency, char_frequency_leq, 'Pi3',
+    'prop-3.10-frequency-leq', part_frequency, char_frequency_leq,
     (_nonempty_totals, _nonempty_totals, _each), bound=15, informational=True,
     note='upper-bound reading: accepts frequencies below the true one'))
 
 _register(CharacterizationPair(
-    'prop-3.11-height-geq', height_geq, char_height_geq, 'Pi3',
+    'prop-3.11-height-geq', height_geq, char_height_geq,
     (_totals, _each), bound=12,
     note='support-reduced universal quantifier over constrained partitions'))
 
 _register(CharacterizationPair(
-    'prop-3.12-height-eq', height_eq, char_height_eq, 'Pi3',
+    'prop-3.12-height-eq', height_eq, char_height_eq,
     (_totals, _each), bound=12, note='sandwich of two height comparisons'))
 
 _register(CharacterizationPair(
-    'prop-3.13-mult', mult_triple, char_mult, 'Pi3', (_totals,) * 3, bound=20,
+    'prop-3.13-mult', mult_triple, char_mult, (_totals,) * 3, bound=20,
     note='height equality against the rectangle built from the factors'))
 
 

@@ -46,7 +46,9 @@ class Partition:
     __slots__ = ('runs', 'card', 'length', 'largest', '_hash')
 
     def __init__(self, runs):
-        runs = tuple((n, m) for n, m in runs)
+        # one pass over any iterable of pairs: validate, copy, accumulate
+        out = []
+        card = length = 0
         previous = None
         for n, m in runs:
             if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
@@ -54,9 +56,13 @@ class Partition:
             if previous is not None and n >= previous:
                 raise PartitionError('run sizes must strictly decrease')
             previous = n
+            out.append((n, m))
+            card += n * m
+            length += m
+        runs = tuple(out)
         self.runs = runs
-        self.card = sum(n * m for n, m in runs)
-        self.length = sum(m for _, m in runs)
+        self.card = card
+        self.length = length
         self.largest = runs[0][0] if runs else 0
         self._hash = hash(runs)
 

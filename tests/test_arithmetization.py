@@ -87,6 +87,17 @@ def test_decode_large_prime():
     assert A.encode(p('[1325274]')) == 20920901
 
 
+def test_decode_run_order_above_the_table():
+    # 1000003 is the first prime above 10^6, so its index is
+    # pi(10^6) + 1 = 78499; the factor 3 is repeated
+    n = 2 * 3 ** 2 * 1000003
+    assert n > 10 ** 6
+    sigma = A.decode(n)
+    assert sigma == from_parts([78499, 2, 2, 1])
+    assert sigma.runs == ((78499, 1), (2, 2), (1, 1))
+    assert A.encode(sigma) == n
+
+
 def test_decode_does_not_depend_on_earlier_calls():
     A.decode(10000019)
     assert A.decode(19000013) == p('[1211051]')

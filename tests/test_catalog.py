@@ -4,7 +4,8 @@ sweeps, boundary behavior, and the reduced-vs-literal cross-checks."""
 import pytest
 
 from young_defined import catalog as C
-from young_defined.partitions import (EMPTY, ResourceLimit, enumerate_universe,
+from young_defined.partitions import (EMPTY, Partition, PartitionError,
+                                      ResourceLimit, enumerate_universe,
                                       from_parts, leq, parse_partition)
 
 p = parse_partition
@@ -28,6 +29,18 @@ def test_rectangle_builder():
     assert C.rectangle(3, 2) == p('3[2]')
     assert C.total(4) == p('[4]')
     assert C.total(0) == EMPTY
+    # memoized: the same object each time, equal to the one built directly
+    for mult in range(1, 6):
+        for size in range(1, 6):
+            assert C.rectangle(mult, size) == Partition(((size, mult),))
+            assert C.rectangle(mult, size) is C.rectangle(mult, size)
+        assert C.total(mult) == Partition(((mult, 1),))
+        assert C.total(mult) is C.total(mult)
+    assert C.rectangle(0, 0) is EMPTY and C.total(0) is EMPTY
+    # a cached answer for (2, 1) is never handed to (2.0, 1)
+    C.rectangle(2, 1)
+    with pytest.raises(PartitionError):
+        C.rectangle(2.0, 1)
 
 
 def test_rectangular():

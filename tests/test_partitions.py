@@ -42,6 +42,20 @@ def test_runs_validation():
                  ((2, -1),)]:
         with pytest.raises(PartitionError):
             Partition(runs)
+    for bad in (2.0, '2', None):
+        for runs in [((bad, 1),), ((1, bad),), ((3, 1), (bad, 1)),
+                     ((3, 1), (1, bad))]:
+            with pytest.raises(PartitionError):
+                Partition(runs)
+    expected = Partition(((3, 2), (1, 1)))
+    for runs in [((n, m) for n, m in ((3, 2), (1, 1))),   # a generator
+                 [[3, 2], [1, 1]]]:                      # lists of lists
+        pi = Partition(runs)
+        assert pi.runs == ((3, 2), (1, 1))
+        assert all(type(run) is tuple for run in pi.runs)
+        assert pi == expected
+        assert (pi.card, pi.length, pi.largest) == (7, 3, 3)
+        assert hash(pi) == hash(expected)
 
 
 def test_from_parts_sorts_and_groups():

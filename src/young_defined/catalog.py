@@ -45,10 +45,6 @@ def total(n):
     return rectangle(1, n) if n else EMPTY
 
 
-def strictly_less(sigma, pi):
-    return sigma != pi and leq(sigma, pi)
-
-
 # ---------------------------------------------------------------------------
 # simple shape predicates
 
@@ -296,7 +292,7 @@ def char_add_geq(rho, sigma, pi):
 
 def _char_add(rho, sigma, pi, exact):
     _check_totals(rho, sigma, pi)
-    if not (strictly_less(rho, pi) and strictly_less(sigma, pi)):
+    if not (rho != pi and leq(rho, pi) and sigma != pi and leq(sigma, pi)):
         return False
     witness = _add_witness(rho, pi)
     if exact:
@@ -314,7 +310,7 @@ def char_add_sweep(rho, sigma, pi, universe, exact=True):
     need = sum(range(rho.card + 1, pi.card + 1))
     if universe.max_card < need:
         raise ResourceLimit('need maxCard >= %d for the witness' % need)
-    if not (strictly_less(rho, pi) and strictly_less(sigma, pi)):
+    if not (rho != pi and leq(rho, pi) and sigma != pi and leq(sigma, pi)):
         return False
     for beta in universe:
         if not has_distinct_parts(beta):
@@ -323,7 +319,7 @@ def char_add_sweep(rho, sigma, pi, universe, exact=True):
         for alpha in universe:
             if not is_total(alpha) or alpha.card == 0:
                 continue
-            in_range = strictly_less(rho, alpha) and leq(alpha, pi)
+            in_range = rho != alpha and leq(rho, alpha) and leq(alpha, pi)
             if beta.has_part(alpha.card) != in_range:
                 good = False
                 break

@@ -31,21 +31,22 @@ def _cmd_enumerate(args):
 
 
 def _print_report(report, as_json):
+    """Print a report as JSON or as a summary; the exit code for it."""
     if as_json:
         print(report.to_json())
     else:
-        print(report.summary_line())
+        print(harness.summary_line(report.to_dict()))
         for witness in report.witnesses[:5]:
             print('  mismatch: %s' % json.dumps(witness, sort_keys=True))
         if report.boundary_count:
             print('  (%d expected boundary tuples reported separately)'
                   % report.boundary_count)
+    return 0 if report.verdict == 'pass' else 1
 
 
 def _cmd_check_prop(args):
-    report = harness.check_proposition(args.name, args.max_card)
-    _print_report(report, args.json)
-    return 0 if report.verdict == 'pass' else 1
+    return _print_report(harness.check_proposition(args.name, args.max_card),
+                         args.json)
 
 
 def _cmd_check_all(args):
@@ -61,9 +62,7 @@ def _cmd_check_all(args):
 
 
 def _cmd_reconstruct(args):
-    report = harness.reconstruction_check(args.max_card)
-    _print_report(report, args.json)
-    return 0 if report.verdict == 'pass' else 1
+    return _print_report(harness.reconstruction_check(args.max_card), args.json)
 
 
 def _cmd_automorphisms(args):
@@ -71,7 +70,7 @@ def _cmd_automorphisms(args):
     if args.json:
         print(report.to_json())
     else:
-        print(report.summary_line())
+        print(harness.summary_line(report.to_dict()))
         print('  found %d automorphism(s): %s'
               % (report.details['count'], ', '.join(report.details['kinds'])))
     return 0 if report.verdict == 'pass' else 1

@@ -419,107 +419,52 @@ def print_file(f):
 # ---------------------------------------------------------------------------
 # prenex classification
 
-def _expand(f):
-    """Rewrite -> and <-> so negation can be pushed to the atoms."""
-    if isinstance(f, (Var, Const, Leq, Eq)):
-        return f
-    if isinstance(f, Not):
-        return Not(_expand(f.body))
-    if isinstance(f, And):
-        return And(_expand(f.left), _expand(f.right))
-    if isinstance(f, Or):
-        return Or(_expand(f.left), _expand(f.right))
-    if isinstance(f, Implies):
-        return Or(Not(_expand(f.left)), _expand(f.right))
-    if isinstance(f, Iff):
-        left, right = _expand(f.left), _expand(f.right)
-        return And(Or(Not(left), right), Or(Not(right), left))
-    if isinstance(f, Exists):
-        return Exists(f.var, _expand(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.var, _expand(f.body))
-    raise TypeError('not a formula node: %r' % (f,))
-
-
-def _nnf(f, negate=False):
-    """Negation normal form of an expanded formula."""
-    if isinstance(f, (Leq, Eq)):
-        return Not(f) if negate else f
-    if isinstance(f, Not):
-        return _nnf(f.body, not negate)
-    if isinstance(f, And):
-        cls = Or if negate else And
-        return cls(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Or):
-        cls = And if negate else Or
-        return cls(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Exists):
-        cls = Forall if negate else Exists
-        return cls(f.var, _nnf(f.body, negate))
-    if isinstance(f, Forall):
-        cls = Exists if negate else Forall
-        return cls(f.var, _nnf(f.body, negate))
-    raise TypeError('unexpected node in NNF: %r' % (f,))
-
-
-class PrenexClass:
-    """Kind Sigma/Pi/Delta with a level; Delta 0 is the open formulas."""
-
-    def __init__(self, kind, level):
-        self.kind = kind
-        self.level = level
-
-    def __eq__(self, other):
-        return (isinstance(other, PrenexClass)
-                and (self.kind, self.level) == (other.kind, other.level))
-
-    def __hash__(self):
-        return hash((self.kind, self.level))
-
-    def __repr__(self):
-        return 'PrenexClass(%r, %d)' % (self.kind, self.level)
-
-    def __str__(self):
-        return '%s%d' % (self.kind, self.level)
-
-
 def _levels(f):
-    """Least (Sigma, Pi) prenex levels of an NNF formula, syntactically.
+    """Least (Sigma, Pi) prenex levels of a formula, syntactically.
 
     A leading existential block costs one Sigma level and embeds in Pi
     one level higher, dually for universal; conjunction and disjunction
-    merge like-kind blocks, so they take the componentwise maximum.
+    merge like-kind blocks, so they take the componentwise maximum.  A
+    negation swaps the levels, `a -> b` is `!a | b`, and `a <-> b` is
+    `(!a | b) & (!b | a)`, whose two levels are the largest of all four.
     """
-    if isinstance(f, (Leq, Eq, Not)):
+    if isinstance(f, (Leq, Eq)):
         return (0, 0)
-    if isinstance(f, (And, Or)):
+    if isinstance(f, Not):
+        s, p = _levels(f.body)
+        return (p, s)
+    if isinstance(f, _Binary):
         ls, lp = _levels(f.left)
         rs, rp = _levels(f.right)
+        if isinstance(f, Implies):
+            return (max(lp, rs), max(ls, rp))
+        if isinstance(f, Iff):
+            top = max(ls, lp, rs, rp)
+            return (top, top)
         return (max(ls, rs), max(lp, rp))
     if isinstance(f, Exists):
-        s, _ = _levels(f.body)
-        s = max(s, 1)
+        s = max(_levels(f.body)[0], 1)
         return (s, s + 1)
     if isinstance(f, Forall):
-        _, p = _levels(f.body)
-        p = max(p, 1)
+        p = max(_levels(f.body)[1], 1)
         return (p + 1, p)
-    raise TypeError('unexpected node in classification: %r' % (f,))
+    raise TypeError('not a formula node: %r' % (f,))
 
 
 def prenex_classify(f):
-    """A syntactic upper bound on the prenex class of a formula.
+    """A syntactic upper bound on the prenex class of a formula, as
+    'Sigma<n>', 'Pi<n>' or 'Delta<n>' (Delta0 is the open formulas).
 
-    The formula is rewritten to negation normal form and the least
-    Sigma/Pi levels are combined bottom-up; the true semantic class
-    (over all logically equivalent forms) can only be lower.
+    The least Sigma/Pi levels are combined bottom-up in one pass over
+    the tree; the true semantic class (over all logically equivalent
+    forms) can only be lower.
     """
-    s, p = _levels(_nnf(_expand(f)))
+    s, p = _levels(f)
     if s == p:
-        return PrenexClass('Delta', s)
+        return 'Delta%d' % s
     if s < p:
-        return PrenexClass('Sigma', s)
-    return PrenexClass('Pi', p)
+        return 'Sigma%d' % s
+    return 'Pi%d' % p
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,6 @@ class CheckReport:
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    def summary_line(self):
-        return summary_line(self.to_dict())
-
 
 def summary_line(doc):
     """One human line for a report document, as CheckReport.to_dict gives."""
@@ -130,12 +127,6 @@ def run_pair(pair, max_card):
         % max_card,
         total_checked, mismatches, time.perf_counter() - start, verdict,
         boundary=boundary, informational=pair.informational, note=pair.note)
-
-
-def resolve_variants(name_a, name_b, max_card):
-    """Run two readings of the same proposition; exactly one must pass."""
-    return variant_resolution(check_proposition(name_a, max_card),
-                              check_proposition(name_b, max_card))
 
 
 def variant_resolution(report_a, report_b):
@@ -223,27 +214,22 @@ def automorphism_search(max_rank=8):
           for pi in elements]
     levels = [[universe.ordinal(pi) for pi in level]
               for level in universe.levels]
-    order = [o for level in levels for o in level]
-    level_of = {}
-    for n, level in enumerate(levels):
-        for o in level:
-            level_of[o] = n
     image = [None] * len(elements)
     used = set()
     found = []
 
-    def extend(i):
-        if i == len(order):
+    def extend(e):
+        # ordinals run level by level, so every lower cover of e has an image
+        if e == len(elements):
             found.append(list(image))
             return
-        e = order[i]
         key = frozenset(image[c] for c in lc[e])
-        for u in levels[level_of[e]]:
+        for u in levels[elements[e].card]:
             if u in used or lc[u] != key:
                 continue
             image[e] = u
             used.add(u)
-            extend(i + 1)
+            extend(e + 1)
             used.discard(u)
             image[e] = None
 

@@ -7,6 +7,7 @@ The containment order, covers, conjugation, grading and bounded
 enumeration all live here; everything downstream builds on them.
 """
 
+import functools
 import re
 
 
@@ -249,9 +250,12 @@ def _descending_tuples(n, cap):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_level(n):
-    """All partitions of n, in reverse-lexicographic (largest-first) order."""
-    return [from_parts(t) for t in _descending_tuples(n, n)]
+    """All partitions of n, in reverse-lexicographic (largest-first) order,
+    as a tuple built once per process and shared by every universe (typed,
+    so 2.0 is never served the cached answer for 2 and is still refused)."""
+    return tuple(from_parts(t) for t in _descending_tuples(n, n))
 
 
 class Universe:
@@ -270,7 +274,7 @@ class Universe:
             raise ResourceLimit('maxCard %d exceeds the practical ceiling %d'
                                 % (max_card, MAX_ENUMERATION_CARD))
         self.max_card = max_card
-        self.levels = [tuple(enumerate_level(n)) for n in range(max_card + 1)]
+        self.levels = [enumerate_level(n) for n in range(max_card + 1)]
         self.index = {}
         self.elements = []
         self._offsets = []   # ordinal of the first element of each level
@@ -282,9 +286,6 @@ class Universe:
         self._offsets.append(len(self.elements))
         self._down_bits = None
         self._up_bits = None
-
-    def level(self, n):
-        return self.levels[n]
 
     def __len__(self):
         return len(self.elements)

@@ -82,8 +82,9 @@ def test_criterion_04_distinct_parts():
 
 def test_criterion_05_part_membership_polarity():
     start = time.perf_counter()
-    combined = harness.resolve_variants('prop-3.6-part-of-a',
-                                        'prop-3.6-part-of-b', 18)
+    combined = harness.variant_resolution(
+        harness.check_proposition('prop-3.6-part-of-a', 18),
+        harness.check_proposition('prop-3.6-part-of-b', 18))
     assert combined.verdict == 'pass', combined.to_json()
     assert combined.details['passing'] == ['prop-3.6-part-of-b']
     report(5, time.perf_counter() - start,

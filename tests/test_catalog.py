@@ -281,6 +281,6 @@ def test_char_height_geq_sweep_needs_room():
 
 def test_reconstruction_key():
     assert C.reconstruction_key(p('[2]')) == C.reconstruction_key(p('2[1]'))
-    level4 = enumerate_universe(4).level(4)
+    level4 = enumerate_universe(4).levels[4]
     keys = {C.reconstruction_key(pi) for pi in level4}
     assert len(keys) == len(level4)

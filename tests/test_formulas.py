@@ -174,6 +174,31 @@ def test_classification_ignores_double_negation(f):
     assert F.prenex_classify(F.Not(F.Not(f))) == F.prenex_classify(f)
 
 
+def _dual(name):
+    """A class with Sigma and Pi swapped; Delta is its own dual."""
+    for a, b in (('Sigma', 'Pi'), ('Pi', 'Sigma')):
+        if name.startswith(a):
+            return b + name[len(a):]
+    return name
+
+
+@given(formula_trees)
+def test_classification_of_a_negation_is_dual(f):
+    assert F.prenex_classify(F.Not(f)) == _dual(F.prenex_classify(f))
+
+
+@given(formula_trees, formula_trees)
+def test_implication_classifies_as_its_disjunction(f, g):
+    assert F.prenex_classify(F.Implies(f, g)) \
+        == F.prenex_classify(F.Or(F.Not(f), g))
+
+
+@given(formula_trees, formula_trees)
+def test_equivalence_classifies_as_its_two_implications(f, g):
+    assert F.prenex_classify(F.Iff(f, g)) == F.prenex_classify(
+        F.And(F.Or(F.Not(f), g), F.Or(F.Not(g), f)))
+
+
 @given(formula_trees)
 def test_quantifier_free_is_delta_0(f):
     if not any(isinstance(n, (F.Exists, F.Forall)) for n in _walk(f)):

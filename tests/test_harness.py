@@ -10,7 +10,7 @@ import pytest
 
 from young_defined import cli, formulas, harness
 from young_defined.catalog import all_pairs
-from young_defined.partitions import parse_partition, render
+from young_defined.partitions import enumerate_level, parse_partition, render
 
 
 # --- reports
@@ -23,7 +23,7 @@ def test_check_proposition_passes_on_a_sound_pair():
     doc = report.to_dict()
     assert doc['schema'] == 'young-defined/1'
     assert doc['verdict'] == 'pass'
-    assert 'lemma-3.1-total' in report.summary_line()
+    assert 'lemma-3.1-total' in harness.summary_line(doc)
 
 
 def test_reports_are_deterministic_up_to_elapsed_time():
@@ -264,6 +264,12 @@ def test_check_all_quick_profile():
     # no suite's time is counted twice; each is rounded to the millisecond
     suites = document['suites']
     assert sum(s['elapsedSeconds'] for s in suites) <= wall + 0.0005 * len(suites)
+
+
+def test_check_all_enumerates_each_level_once():
+    enumerate_level.cache_clear()
+    harness.check_all('quick')
+    assert enumerate_level.cache_info().misses == 11     # levels 0..10
 
 
 def test_check_all_quick_matches_the_recorded_report(capsys):

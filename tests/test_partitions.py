@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from young_defined.partitions import (EMPTY, MAX_BIT_CACHE_BYTES,
                                       MAX_ENUMERATION_CARD, Partition,
-                                      PartitionError, ResourceLimit,
+                                      PartitionError, ResourceLimit, Universe,
                                       bit_cache_bytes, conjugate,
                                       enumerate_level, enumerate_universe,
                                       factorial_partition, from_parts, join,
@@ -207,6 +207,14 @@ def test_meet_join_examples():
 def test_level_4_order_is_frozen():
     assert [pi.parts() for pi in enumerate_level(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_levels_are_enumerated_once_and_shared():
+    assert Universe(5).levels[3] is Universe(9).levels[3]
+    assert isinstance(enumerate_level(3), tuple)     # shared, so immutable
+    enumerate_level(2)
+    with pytest.raises(TypeError):                   # typed: 2.0 is not 2
+        enumerate_level(2.0)
 
 
 def test_level_sizes_match_pentagonal_oracle():

@@ -12,11 +12,11 @@ partition of cardinality at most maxCard + slack.  Free variables are
 whatever the caller assigns; definedSet sweeps them up to maxCard only.
 The evaluator is relational: a subformula is a bitmask row over the
 universe ordinals of one variable, connectives combine rows with & | ^
-(`a & b` asks b only at the bits a left set), and an atom is a lookup
-in the universe's bit caches.  A quantified subformula is a row over its
-innermost bound free variable, memoized for each value of its other
-free variables, so it is computed once per outer value rather than once
-per assignment of all the variables around it.
+(`a & b` and `a -> b` ask b only at the bits a left set), and an atom
+is a lookup in the universe's bit caches.  A quantified subformula is a
+row over its innermost bound free variable, memoized for each value of
+its other free variables, so it is computed once per outer value rather
+than once per assignment of all the variables around it.
 """
 
 import importlib.resources
@@ -573,8 +573,6 @@ class _Compiled:
             return lambda env, care: care ^ body(env, care)
         if isinstance(f, (Exists, Forall)):
             return self._quantifier(f, row, depth)
-        if isinstance(f, Implies):
-            return self._closure(Or(Not(f.left), f.right), row, depth)
         left = self._closure(f.left, row, depth)
         right = self._closure(f.right, row, depth)
         if isinstance(f, And):     # right is asked only where left holds
@@ -582,6 +580,11 @@ class _Compiled:
                 hit = left(env, care)
                 return right(env, hit) if hit else 0
             return conjunction
+        if isinstance(f, Implies):     # ... and here too
+            def implication(env, care):
+                hit = left(env, care)
+                return care ^ hit ^ right(env, hit) if hit else care
+            return implication
         if isinstance(f, Or):      # ... only where left fails
             def disjunction(env, care):
                 hit = left(env, care)

@@ -9,6 +9,7 @@ enumeration all live here; everything downstream builds on them.
 
 import functools
 import re
+from array import array
 
 
 class PartitionError(ValueError):
@@ -138,35 +139,31 @@ def leq(sigma, pi):
         left_p -= step
 
 
-def lower_covers(pi):
-    """All partitions covered by pi: remove one box from the last row of a run.
-
-    Decrementing one part of each distinct size gives each lower cover
-    exactly once, so the result has one element per run of pi.
-    """
-    out = set()
-    runs = pi.runs
+def _lower_cover_runs(runs):
+    """The run tuples of the lower covers of a partition, one per run:
+    remove one box from the last row of that run."""
     for idx, (n, m) in enumerate(runs):
-        new = list(runs)
-        if m == 1:
-            del new[idx]
-            at = idx
+        head = runs[:idx] if m == 1 else runs[:idx] + ((n, m - 1),)
+        tail = runs[idx + 1:]
+        if n == 1:                            # the last run loses a row
+            yield head
+        elif tail and tail[0][0] == n - 1:    # merge into the following run
+            yield head + ((n - 1, tail[0][1] + 1),) + tail[1:]
         else:
-            new[idx] = (n, m - 1)
-            at = idx + 1
-        if n > 1:
-            # merge the shrunk part into the following run if the sizes meet
-            if at < len(new) and new[at][0] == n - 1:
-                size, mult = new[at]
-                new[at] = (size, mult + 1)
-            else:
-                new.insert(at, (n - 1, 1))
-        out.add(Partition(new))
-    return out
+            yield head + ((n - 1, 1),) + tail
 
 
-def _upper_cover_runs(pi):
-    """Structural upper covers: add one box to the first row of a run, or a new row."""
+def lower_covers(pi):
+    """All partitions covered by pi, one per run of pi."""
+    return {Partition(r) for r in _lower_cover_runs(pi.runs)}
+
+
+def upper_covers(pi, universe):
+    """All covers of pi inside the universe (its next level must exist):
+    add one box to the first row of a run, or start a new row."""
+    if pi.card + 1 > universe.max_card:
+        raise ResourceLimit('level %d is not enumerated (maxCard=%d)'
+                            % (pi.card + 1, universe.max_card))
     out = set()
     runs = pi.runs
     for idx, (n, m) in enumerate(runs):
@@ -191,14 +188,6 @@ def _upper_cover_runs(pi):
         new = list(runs) + [(1, 1)]
     out.add(Partition(new))
     return out
-
-
-def upper_covers(pi, universe):
-    """All covers of pi inside the universe (its next level must exist)."""
-    if pi.card + 1 > universe.max_card:
-        raise ResourceLimit('level %d is not enumerated (maxCard=%d)'
-                            % (pi.card + 1, universe.max_card))
-    return _upper_cover_runs(pi)
 
 
 def conjugate(pi):
@@ -240,14 +229,17 @@ def join(sigma, pi):
     return from_parts(max(x, y) for x, y in zip(a, b))
 
 
-def _descending_tuples(n, cap):
-    """Yield the descending part tuples of n (parts <= cap), largest first."""
+def _level_runs(n, cap, head=()):
+    """Yield head extended by the run tuples of each partition of n with
+    parts <= cap, largest first: sizes descend, and for each size the
+    multiplicities."""
     if n == 0:
-        yield ()
+        yield head
         return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _descending_tuples(n - first, first):
-            yield (first,) + rest
+    for size in range(min(n, cap), 0, -1):
+        for mult in range(n // size, 0, -1):
+            yield from _level_runs(n - size * mult, size - 1,
+                                   head + ((size, mult),))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -255,7 +247,7 @@ def enumerate_level(n):
     """All partitions of n, in reverse-lexicographic (largest-first) order,
     as a tuple built once per process and shared by every universe (typed,
     so 2.0 is never served the cached answer for 2 and is still refused)."""
-    return tuple(from_parts(t) for t in _descending_tuples(n, n))
+    return tuple(map(Partition, _level_runs(n, n)))
 
 
 class Universe:
@@ -284,6 +276,7 @@ class Universe:
                 self.index[pi] = len(self.elements)
                 self.elements.append(pi)
         self._offsets.append(len(self.elements))
+        self._covers = None
         self._down_bits = None
         self._up_bits = None
 
@@ -312,6 +305,19 @@ class Universe:
                                 'bytes, over the ceiling %d'
                                 % (self.max_card, need, MAX_BIT_CACHE_BYTES))
 
+    def _cover_table(self):
+        """The lower covers of every element as one flat array of ordinals,
+        those of ordinal i at covers[offsets[i]:offsets[i + 1]]."""
+        if self._covers is None:
+            covers, offsets, below = array('i'), array('i', [0]), {}
+            for level, start in zip(self.levels, self._offsets):
+                for pi in level:
+                    covers.extend(below[r] for r in _lower_cover_runs(pi.runs))
+                    offsets.append(len(covers))
+                below = {pi.runs: start + k for k, pi in enumerate(level)}
+            self._covers = covers, offsets
+        return self._covers
+
     def down_bits(self):
         """For each ordinal i, a bitmask of the ordinals j with elem_j <= elem_i.
 
@@ -320,27 +326,31 @@ class Universe:
         """
         if self._down_bits is None:
             self._check_bit_cache()
+            covers, offsets = self._cover_table()
             bits = []
-            for i, pi in enumerate(self.elements):
+            for i in range(len(self.elements)):
                 mask = 1 << i
-                for sigma in lower_covers(pi):
-                    mask |= bits[self.index[sigma]]
+                for j in covers[offsets[i]:offsets[i + 1]]:
+                    mask |= bits[j]
                 bits.append(mask)
             self._down_bits = bits
         return self._down_bits
 
     def up_bits(self):
-        """For each ordinal i, a bitmask of the ordinals j with elem_i <= elem_j."""
+        """For each ordinal i, a bitmask of the ordinals j with elem_i <= elem_j.
+
+        Built by one pass down the levels: when pi is reached, all its
+        upper covers have ORed their up-sets into its mask, which it then
+        ORs into the masks of its own lower covers.
+        """
         if self._up_bits is None:
             self._check_bit_cache()
+            covers, offsets = self._cover_table()
             bits = [0] * len(self.elements)
-            for i in range(len(self.elements) - 1, -1, -1):
-                pi = self.elements[i]
-                mask = 1 << i
-                if pi.card < self.max_card:
-                    for rho in _upper_cover_runs(pi):
-                        mask |= bits[self.index[rho]]
-                bits[i] = mask
+            for i in range(len(bits) - 1, -1, -1):
+                mask = bits[i] = bits[i] | 1 << i
+                for j in covers[offsets[i]:offsets[i + 1]]:
+                    bits[j] |= mask
             self._up_bits = bits
         return self._up_bits
 

@@ -278,6 +278,18 @@ def test_row_evaluation_matches_naive_interpreter(f, slack):
             == (tuple(assignment[v] for v in free) in want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(formula_trees, formula_trees)
+def test_implication_evaluates_as_its_disjunction(f, g):
+    """a -> b has its own closure, which asks b only where a holds."""
+    universe = enumerate_universe(3)
+    names = tuple(sorted(F.free_vars(F.And(f, g))))
+    for slack in (0, 1):
+        config = F.EvalConfig(2, slack)
+        assert F.defined_relation(F.Implies(f, g), names, universe, config) \
+            == F.defined_relation(F.Or(F.Not(f), g), names, universe, config)
+
+
 def _agrees_with_naive(text, max_card=3, slack=2):
     """Check run() and defined_relation() against naive_eval everywhere."""
     f = F.parse(text)

@@ -217,6 +217,25 @@ def test_levels_are_enumerated_once_and_shared():
         enumerate_level(2.0)
 
 
+def _descending_part_tuples(n, cap):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, min(n, cap) + 1):
+        for rest in _descending_part_tuples(n - first, first):
+            yield (first,) + rest
+
+
+def test_level_order_matches_sorted_part_tuples():
+    """The run-length enumerator against a plain part-tuple generator,
+    sorted into reverse-lexicographic order independently."""
+    for n in range(21):
+        want = [from_parts(t) for t in
+                sorted(_descending_part_tuples(n, n), reverse=True)]
+        assert list(enumerate_level(n)) == want
+        assert len(want) == partition_count(n)
+
+
 def test_level_sizes_match_pentagonal_oracle():
     for n, level in enumerate(UNI.levels):
         assert len(level) == partition_count(n)
@@ -244,25 +263,46 @@ def test_universe_lookup():
 
 
 def test_universe_bit_caches_agree_with_leq():
-    small = enumerate_universe(7)
-    down, up = small.down_bits(), small.up_bits()
-    for i, sigma in enumerate(small.elements):
-        for j, pi in enumerate(small.elements):
-            below = bool(down[j] >> i & 1)
-            above = bool(up[i] >> j & 1)
-            assert below == above == leq(sigma, pi)
+    # two fresh universes, so each cache is also built first once
+    for first in ('down_bits', 'up_bits'):
+        small = Universe(10)
+        getattr(small, first)()
+        down, up = small.down_bits(), small.up_bits()
+        for i, sigma in enumerate(small.elements):
+            for j, pi in enumerate(small.elements):
+                below = bool(down[j] >> i & 1)
+                above = bool(up[i] >> j & 1)
+                assert below == above == leq(sigma, pi)
+
+
+def test_bit_caches_construct_no_partitions(monkeypatch):
+    universe = Universe(12)
+    built = []
+    init = Partition.__init__
+
+    def counted(self, runs):
+        built.append(runs)
+        init(self, runs)
+    monkeypatch.setattr(Partition, '__init__', counted)
+    universe.down_bits()
+    universe.up_bits()
+    assert built == []
+    Partition(((1, 1),))          # the counter does see a construction
+    assert len(built) == 1
 
 
 def test_bit_cache_ceiling():
     def elements(max_card):
         return sum(partition_count(n) for n in range(max_card + 1))
-    assert bit_cache_bytes(elements(35)) <= MAX_BIT_CACHE_BYTES
-    assert bit_cache_bytes(elements(40)) > MAX_BIT_CACHE_BYTES
+    assert bit_cache_bytes(elements(36)) <= MAX_BIT_CACHE_BYTES
+    assert bit_cache_bytes(elements(37)) > MAX_BIT_CACHE_BYTES
     big = enumerate_universe(40)
     with pytest.raises(ResourceLimit):
         big.down_bits()
     with pytest.raises(ResourceLimit):
         big.up_bits()
+    # refused before the cover table or any mask was allocated
+    assert big._covers is None
     assert big._down_bits is None and big._up_bits is None
 
 

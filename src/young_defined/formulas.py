@@ -535,9 +535,13 @@ class _Compiled:
         if value not in self.outside:
             self.outside[value] = len(self.values)
             self.values.append(value)
-            candidates = list(enumerate(self.values[:self.full.bit_length()]))
-            self.down.append(sum(1 << i for i, u in candidates if leq(u, value)))
-            self.up.append(sum(1 << i for i, u in candidates if leq(value, u)))
+            candidates = self.values[:self.full.bit_length()]
+            self.down.append(sum(1 << i for i, u in enumerate(candidates)
+                                 if leq(u, value)))
+            # up masks are stored from their own ordinal (up >> ordinal);
+            # a value outside the universe is larger than every element
+            # in it, so nothing there lies above it
+            self.up.append(0)
         return self.outside[value]
 
     def run(self, env):
@@ -600,11 +604,23 @@ class _Compiled:
         if left_is and right_is:
             return lambda env, care: care
         if left_is or right_is:
-            other = self._operand(f.right if left_is else f.left)
+            term = f.right if left_is else f.left
+            other = self._operand(term)
             if isinstance(f, Eq):
                 return lambda env, care: (1 << other(env)) & care
-            masks = self.down if left_is else self.up
-            return lambda env, care: masks[other(env)] & care
+            if isinstance(term, Const):    # the full mask, built once
+                o = self.ordinal(term.value)
+                mask = self.down[o] if left_is else self.up[o] << o
+                return lambda env, care: mask & care
+            if left_is:
+                down = self.down
+                return lambda env, care: down[other(env)] & care
+            up = self.up
+
+            def above(env, care):
+                o = other(env)
+                return up[o] << o & care
+            return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):
             return lambda env, care: care if left(env) == right(env) else 0

@@ -347,7 +347,7 @@ def embed_poset(poset, max_card):
     m = len(universe.elements)
     full = (1 << m) - 1
     down = universe.down_bits()
-    up = universe.up_bits()
+    up = [mask << o for o, mask in enumerate(universe.up_bits())]
     strict_down = [down[o] & ~(1 << o) for o in range(m)]
     strict_up = [up[o] & ~(1 << o) for o in range(m)]
     incomparable = [full & ~(down[o] | up[o]) for o in range(m)]

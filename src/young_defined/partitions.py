@@ -20,21 +20,24 @@ class ResourceLimit(RuntimeError):
     """Raised when a computation exceeds its documented practical ceiling."""
 
 
-# Practical ceiling for full enumeration: the number of partitions of
-# cardinality <= 50 is under a million, which stays comfortably in memory.
+# Practical ceiling for full enumeration: there are 1,295,971 partitions
+# of cardinality <= 50, which stay comfortably in memory.
 MAX_ENUMERATION_CARD = 50
 
 # Practical ceiling for the two bit caches of one universe together
 # (Universe.down_bits and up_bits), checked before either is built.  With
-# n elements the down masks average n/2 bits and the up masks reach the
-# top of the universe, so the pair takes about 3 * n**2 / 16 bytes:
-# ~1.2 GB at maxCard 35, ~1.8 GB at 36, ~2.7 GB at 37, ~8.7 GB at 40.
+# n elements, down mask i spans i + 1 bits and up mask i, stored from its
+# own ordinal, at most n - i, so the masks take under n**2 / 8 bytes; each
+# element adds two list slots and two int headers.  Counted from the mask
+# widths: ~156 MB at maxCard 31, ~1.21 GB at 36, ~1.80 GB at 37 and
+# ~2.66 GB at 38, so the ceiling admits 37 and refuses 38.
 MAX_BIT_CACHE_BYTES = 2 * 2 ** 30
 
 
 def bit_cache_bytes(elements):
-    """Estimated bytes of the two bit caches over that many elements."""
-    return 3 * elements * elements // 16
+    """Upper estimate of the bytes of the two bit caches over that many
+    elements: n**2 / 8 for the masks, 96 per element, 128 for the lists."""
+    return elements * elements // 8 + 96 * elements + 128
 
 
 class Partition:
@@ -337,20 +340,23 @@ class Universe:
         return self._down_bits
 
     def up_bits(self):
-        """For each ordinal i, a bitmask of the ordinals j with elem_i <= elem_j.
+        """For each ordinal i, a bitmask of the ordinals j >= i with
+        elem_i <= elem_j, stored from its own ordinal: bit j - i.
 
+        Every element above elem_i comes after it, so no bit below i is
+        ever set and up_bits()[i] << i is the mask over all ordinals.
         Built by one pass down the levels: when pi is reached, all its
         upper covers have ORed their up-sets into its mask, which it then
-        ORs into the masks of its own lower covers.
+        ORs into the mask of each lower cover j, shifted by i - j.
         """
         if self._up_bits is None:
             self._check_bit_cache()
             covers, offsets = self._cover_table()
             bits = [0] * len(self.elements)
             for i in range(len(bits) - 1, -1, -1):
-                mask = bits[i] = bits[i] | 1 << i
+                mask = bits[i] = bits[i] | 1
                 for j in covers[offsets[i]:offsets[i + 1]]:
-                    bits[j] |= mask
+                    bits[j] |= mask << i - j
             self._up_bits = bits
         return self._up_bits
 

@@ -379,6 +379,29 @@ def test_evaluate_constants_outside_the_universe():
     assert F.evaluate(g, {'x': p('(5,1)')}, UNI6, F.EvalConfig(6, 0))
 
 
+def test_each_atom_orientation_matches_a_leq_sweep():
+    # x <= c and c <= x read a constant's down and up mask; x <= y with
+    # y swept reads the up mask of a variable's value
+    for text in ('[2]+[1]', '[3]+2[1]', '[9]+[9]'):
+        c = p(text)
+        for slack in (0, 1):
+            config = F.EvalConfig(5, slack)
+            xs = [q for q in UNI6.elements if q.card <= 5]
+            ys = [q for q in UNI6.elements if q.card <= 5 + slack]
+            cases = {
+                'x <= c': {x for x in xs if leq(x, c)},
+                'c <= x': {x for x in xs if leq(c, x)},
+                'forall y (x <= y)': {x for x in xs
+                                      if all(leq(x, y) for y in ys)},
+                'exists y (x <= y & y <= c)': {
+                    x for x in xs if any(leq(x, y) and leq(y, c) for y in ys)},
+            }
+            for body, want in cases.items():
+                f = F.parse('const c = %s;\n%s' % (text, body))
+                assert F.defined_set(f, 'x', UNI6, config) == want, \
+                    (text, slack, body)
+
+
 def test_evaluate_error_paths():
     f = F.parse(COVER)
     with pytest.raises(F.EvalError):

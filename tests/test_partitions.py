@@ -1,6 +1,8 @@
 """Exact partition arithmetic: construction, order, covers, conjugation,
 lattice operations, enumeration, and the text forms."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,10 +271,16 @@ def test_universe_bit_caches_agree_with_leq():
         getattr(small, first)()
         down, up = small.down_bits(), small.up_bits()
         for i, sigma in enumerate(small.elements):
+            # up[i] is stored from ordinal i: bit j - i stands for ordinal j
+            assert up[i] & 1
+            assert up[i].bit_length() <= len(small) - i
             for j, pi in enumerate(small.elements):
                 below = bool(down[j] >> i & 1)
-                above = bool(up[i] >> j & 1)
-                assert below == above == leq(sigma, pi)
+                assert below == leq(sigma, pi)
+                if j >= i:
+                    assert bool(up[i] >> j - i & 1) == below
+                else:               # nothing above sigma comes before it
+                    assert not below
 
 
 def test_bit_caches_construct_no_partitions(monkeypatch):
@@ -291,11 +299,23 @@ def test_bit_caches_construct_no_partitions(monkeypatch):
     assert len(built) == 1
 
 
+def test_bit_cache_estimate_bounds_the_measured_bytes():
+    for max_card in range(26):
+        universe = Universe(max_card)
+        caches = (universe.down_bits(), universe.up_bits())
+        measured = sum(sys.getsizeof(bits) + sum(map(sys.getsizeof, bits))
+                       for bits in caches)
+        estimate = bit_cache_bytes(len(universe))
+        assert measured <= estimate, max_card
+        if max_card >= 20:
+            assert measured >= 0.8 * estimate, max_card
+
+
 def test_bit_cache_ceiling():
     def elements(max_card):
         return sum(partition_count(n) for n in range(max_card + 1))
-    assert bit_cache_bytes(elements(36)) <= MAX_BIT_CACHE_BYTES
-    assert bit_cache_bytes(elements(37)) > MAX_BIT_CACHE_BYTES
+    assert bit_cache_bytes(elements(37)) <= MAX_BIT_CACHE_BYTES
+    assert bit_cache_bytes(elements(38)) > MAX_BIT_CACHE_BYTES
     big = enumerate_universe(40)
     with pytest.raises(ResourceLimit):
         big.down_bits()

@@ -150,10 +150,10 @@ def encode(sigma):
     0 for the empty partition, 2^(m-1) for m[1], and otherwise the
     product of nthPrime(partSize)^multiplicity over the runs.
     """
-    if sigma.card == 0:
+    if not sigma.runs:
         return 0
-    if sigma.largest == 1:
-        return 2 ** (sigma.length - 1)
+    if sigma.runs[0][0] == 1:
+        return 2 ** (sigma.runs[0][1] - 1)
     primes = _primes or _tables()[1]
     value = 1
     for n, m in sigma.runs:
@@ -162,24 +162,12 @@ def encode(sigma):
 
 
 def _runs(n):
-    """The factorization of 2 <= n <= DECODE_CEILING as (prime index,
-    exponent) pairs, ascending by prime."""
-    runs = []
-    table = _spf or _tables()[0]
-    if n <= _SPF_LIMIT:
-        while n > 1:
-            p = table[n]
-            if p < 0:
-                runs.append((-p, 1))
-                break
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            runs.append((-table[p], e))
-        return runs
+    """The factorization of _SPF_LIMIT < n <= DECODE_CEILING as (prime
+    index, exponent) pairs, ascending by prime."""
     if n > DECODE_CEILING:
         raise ResourceLimit('decode ceiling %d exceeded: %d' % (DECODE_CEILING, n))
+    runs = []
+    table = _spf or _tables()[0]
     for p in _primes:
         if p * p > n:
             break
@@ -207,8 +195,23 @@ def decode(n):
         return EMPTY
     if n & (n - 1) == 0:
         return Partition(((1, n.bit_length()),))
-    # _runs is ascending by prime, so its reverse is the canonical order
-    return Partition(reversed(_runs(n)))
+    if n > _SPF_LIMIT:
+        runs = _runs(n)
+    else:
+        table, runs = _spf or _tables()[0], []
+        while n > 1:
+            p = table[n]
+            if p < 0:
+                runs.append((-p, 1))
+                break
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            runs.append((-table[p], e))
+    # ascending by prime, so the reverse is the canonical order
+    runs.reverse()
+    return Partition(runs)
 
 
 def primexp(i, m, n):

@@ -19,6 +19,7 @@ its other free variables, so it is computed once per outer value rather
 than once per assignment of all the variables around it.
 """
 
+import functools
 import importlib.resources
 import itertools
 import operator
@@ -522,11 +523,11 @@ class _Compiled:
         self.full = (1 << cutoff) - 1
         self.values = list(universe.elements)
         self.down = list(universe.down_bits())
-        self.up = list(universe.up_bits())
+        self.up = None          # the up cache, fetched by the first t <= row
+        self.up_masks = {}      # constant ordinal -> its full-width up mask
         self.outside = {}
         self.rows = {}
-        self.scalar = self._closure(formula, None, {
-            name: level for level, name in enumerate(sorted(self.free))})
+        self.scalar = None      # the run() entry, compiled on first use
 
     def ordinal(self, value):
         """The ordinal of a partition, numbering it first if outside."""
@@ -541,7 +542,8 @@ class _Compiled:
             # up masks are stored from their own ordinal (up >> ordinal);
             # a value outside the universe is larger than every element
             # in it, so nothing there lies above it
-            self.up.append(0)
+            if self.up is not None:
+                self.up.append(0)
         return self.outside[value]
 
     def run(self, env):
@@ -550,6 +552,9 @@ class _Compiled:
         if missing:
             raise EvalError('unassigned free variables: %s'
                             % ', '.join(sorted(missing)))
+        if self.scalar is None:
+            self.scalar = self._closure(self.formula, None, dict(
+                zip(sorted(self.free), itertools.count())))
         return self.scalar({v: self.ordinal(env[v]) for v in self.free}, 1) != 0
 
     def relation(self, names, max_card):
@@ -610,16 +615,21 @@ class _Compiled:
                 return lambda env, care: (1 << other(env)) & care
             if isinstance(term, Const):    # the full mask, built once
                 o = self.ordinal(term.value)
-                mask = self.down[o] if left_is else self.up[o] << o
+                if not left_is and o not in self.up_masks:
+                    # nothing in the universe lies above an outside value
+                    self.up_masks[o] = (self.universe.up_mask(o)
+                                        if o < len(self.universe) else 0)
+                mask = self.down[o] if left_is else self.up_masks[o]
                 return lambda env, care: mask & care
             if left_is:
                 down = self.down
                 return lambda env, care: down[other(env)] & care
-            up = self.up
 
             def above(env, care):
+                if self.up is None:     # built on first use, 0 for outside values
+                    self.up = list(self.universe.up_bits()) + [0] * len(self.outside)
                 o = other(env)
-                return up[o] << o & care
+                return self.up[o] << o & care
             return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):
@@ -652,16 +662,21 @@ class _Compiled:
         key = operator.itemgetter(*others) if others else (lambda env: ())
 
         if q is not None and q == row:
+            transposed = _transposes(f, q) and self._transposed(f, q, inner)
+
             def sweep(env, care):
                 k = key(env)
                 known, true = rows.get(k, (0, 0))
                 need = care & ~known
                 if need:
-                    local = dict(env)
-                    for i in _ones(need):
-                        local[q] = i
-                        if holds(local):
-                            true |= 1 << i
+                    if transposed:
+                        true |= transposed(env, need)
+                    else:
+                        local = dict(env)
+                        for i in _ones(need):
+                            local[q] = i
+                            if holds(local):
+                                true |= 1 << i
                     rows[k] = (known | need, true)
                 return true & care
             return sweep
@@ -675,6 +690,48 @@ class _Compiled:
                 rows[k] = (known | bit, true)
             return care if true & bit else 0
         return lookup
+
+    def _transposed(self, f, q, inner):
+        """Q y phi as a row over q: phi compiled with row q (q <= y reads
+        down[y]) and looped over y, only where the conjuncts of G leaving q
+        out hold if phi is G -> psi (forall) or G & psi (exists), while bits
+        are pending: still true (forall), or not yet witnessed (exists)."""
+        y, want_all, full = f.var, isinstance(f, Forall), self.full
+        body = self._closure(f.body, q, inner)
+        kept = []
+        if isinstance(f.body, Implies if want_all else And):
+            kept = [g for g in _parts(f.body.left if want_all else f.body, And)
+                    if q not in free_vars(g)]
+        guard = kept and self._closure(functools.reduce(And, kept), y, inner)
+
+        def fill(env, need):
+            local, pending = dict(env), need
+            ys = _ones(guard(env, full)) if guard else range(full.bit_length())
+            for j in ys:
+                local[y] = j
+                hit = body(local, pending)
+                pending = hit if want_all else pending ^ hit
+                if not pending:
+                    break
+            return pending if want_all else need ^ pending
+        return fill
+
+
+def _parts(f, kinds):
+    """f split through its connectives of the given kinds, left to right."""
+    if not isinstance(f, kinds):
+        return [f]
+    return [g for name in f._fields for g in _parts(getattr(f, name), kinds)]
+
+
+def _transposes(f, q):
+    """Whether f = Q y phi, swept as a row over q, loops over y instead:
+    phi has an atom q <= y, no y <= q, and no quantified subformula with
+    q free (its row would be keyed on q, which is not in env there)."""
+    direct, y = _parts(f.body, (Not, _Binary)), Var(f.var)
+    return (Leq(Var(q), y) in direct and Leq(y, Var(q)) not in direct
+            and not any(isinstance(g, (Exists, Forall)) and q in free_vars(g)
+                        for g in direct))
 
 
 def compile_formula(f, universe, config):

@@ -1,5 +1,10 @@
 """The prime-exponent encoding: bijectivity, order transport, ceilings."""
 
+import bisect
+import itertools
+import random
+from math import isqrt
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -96,6 +101,45 @@ def test_decode_run_order_above_the_table():
     assert sigma == from_parts([78499, 2, 2, 1])
     assert sigma.runs == ((78499, 1), (2, 2), (1, 1))
     assert A.encode(sigma) == n
+
+
+def _factorization_runs(n, primes):
+    """n factored by trial division over the ascending primes, read as
+    runs: the i-th prime to the power e is the run (i, e)."""
+    runs = []
+    for index, q in enumerate(primes, 1):
+        if q * q > n:
+            break
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            runs.append((index, e))
+    if n > 1:
+        runs.append((bisect.bisect_right(primes, n), 1))
+    return tuple(reversed(runs))
+
+
+def test_decode_reads_the_factorization_as_runs():
+    limit = 3 * 10 ** 6
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytes(2)
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    primes = list(itertools.compress(range(limit + 1), sieve))
+    rng = random.Random(0)
+    # ten draws, and k times the k-th prime above 10^6, whose index is
+    # counted rather than read from the table
+    above = [rng.randrange(10 ** 6 + 1, limit) for _ in range(10)]
+    above += [k * q for k, q in enumerate(primes[78498:78508], 1)]
+    for n in list(range(2, 5001)) + above:
+        if n & (n - 1) == 0:        # 2^k codes the trivial (k+1)[1]
+            want = ((1, n.bit_length()),)
+        else:
+            want = _factorization_runs(n, primes)
+        assert A.decode(n).runs == want, n
 
 
 def test_decode_does_not_depend_on_earlier_calls():

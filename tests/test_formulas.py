@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from young_defined import formulas as F
 from young_defined.catalog import is_rectangular, is_total, is_trivial
-from young_defined.partitions import (EMPTY, enumerate_universe, leq,
-                                      lower_covers, parse_partition)
+from young_defined.partitions import (EMPTY, Universe, enumerate_universe,
+                                      leq, lower_covers, parse_partition,
+                                      render, upper_covers)
 
 p = parse_partition
 UNI6 = enumerate_universe(6)
@@ -400,6 +401,73 @@ def test_each_atom_orientation_matches_a_leq_sweep():
                 f = F.parse('const c = %s;\n%s' % (text, body))
                 assert F.defined_set(f, 'x', UNI6, config) == want, \
                     (text, slack, body)
+
+
+UPPER_COVER = ('const c = %s;\n'
+               'c <= x & c != x & forall z (c <= z & z <= x -> z = c | z = x)')
+LOWER_COVER = ('const c = %s;\n'
+               'x <= c & x != c & forall z (x <= z & z <= c -> z = x | z = c)')
+
+
+def test_down_oriented_formulas_leave_the_up_cache_unbuilt():
+    # every order atom of these reads a down mask, or a constant's up
+    # mask read off the down cache, once each quantifier is oriented
+    universe = Universe(12)
+    config = F.EvalConfig(11, 1)
+    xs = [q for q in universe.elements if q.card <= 11]
+    texts = F.corpus()
+    cases = [(texts['empty'], {EMPTY}),
+             (texts['triviality'], {q for q in xs if is_trivial(q)}),
+             (texts['totality'], {q for q in xs if is_total(q)})]
+    for c in (p('[2]+[1]'), p('2[3]+[1]')):
+        cases.append((UPPER_COVER % render(c), upper_covers(c, universe)))
+        cases.append((LOWER_COVER % render(c), lower_covers(c)))
+    for text, want in cases:
+        assert F.defined_set(F.parse(text), 'x', universe, config) == want, text
+    assert universe._up_bits is None
+
+
+def test_cover_formulas_still_build_the_up_cache():
+    universe = Universe(7)
+    got = F.defined_relation(F.parse(COVER), ('x', 'y'), universe,
+                             F.EvalConfig(6, 1))
+    assert got == {(s, q) for q in universe.elements if q.card <= 6
+                   for s in lower_covers(q)}
+    assert universe._up_bits is not None
+
+
+@pytest.mark.parametrize('text, transposed', [
+    ('forall y (x <= y)', True),
+    ('const c = [2]+[1];\nexists y (x <= y & y <= c & y != x)', True),
+    ('const c = [2]+[1];\nforall z (x <= z & z <= c -> x = z | z = c)', True),
+    ('const c = [9]+[9];\nforall z (x <= z & z <= c -> x = z | z = c)', True),
+    # guards of two conjuncts that leave x out
+    ('const c = [3]+[1];\nconst d = [1];\n'
+     'forall z (z <= c & x <= z & d <= z -> z = c | x = z)', True),
+    ('const c = [3]+[1];\nconst d = [1];\n'
+     'exists z (z <= c & d <= z & x <= z & z != x)', True),
+    # a conjunction under forall, an implication under exists: no guard
+    ('const c = [2]+[1];\nforall z (z <= c & x <= z)', True),
+    ('const c = [2]+[1];\nexists z (z <= c -> x <= z & z != x)', True),
+    # x <= y with y <= x, or with a nested quantifier that has x free,
+    # keeps the sweep over x
+    ('forall y (x <= y & y <= x -> x = y)', False),
+    ('forall y (x <= y -> exists z (x <= z & z <= y & z != x))', False),
+    ('exists y (x <= y & forall z (z <= y -> z <= x | x <= z))', False),
+])
+def test_each_quantifier_orientation_agrees_with_naive(text, transposed):
+    assert F._transposes(F.parse(text), 'x') == transposed
+    for slack in range(3):
+        _agrees_with_naive(text, slack=slack)
+
+
+def test_constant_up_mask_is_read_off_the_down_cache():
+    for first in ('down_bits', 'up_bits'):
+        universe = Universe(10)
+        getattr(universe, first)()
+        masks = [universe.up_mask(o) for o in range(len(universe))]
+        assert (universe._up_bits is None) == (first == 'down_bits')
+        assert masks == [m << o for o, m in enumerate(universe.up_bits())]
 
 
 def test_evaluate_error_paths():

@@ -47,9 +47,22 @@ class EvalError(Exception):
 # AST
 
 class Node:
-    """Base class; children in _fields, structural equality throughout."""
+    """Base class: a subclass declares only its _fields, set in order by
+    the one constructor; structural equality, which depends on the type."""
 
     _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError('%s takes %d fields, got %d' % (
+                type(self).__name__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
+
+    def children(self):
+        """The fields that are nodes, in field order."""
+        return [value for value in map(self.__getattribute__, self._fields)
+                if isinstance(value, Node)]
 
     def key(self):
         return (type(self).__name__,) + tuple(
@@ -71,49 +84,29 @@ class Node:
 class Var(Node):
     _fields = ('name',)
 
-    def __init__(self, name):
-        self.name = name
-
 
 class Const(Node):
     """A named constant carrying its canonical partition value."""
 
     _fields = ('name', 'value')
 
-    def __init__(self, name, value):
-        self.name = name
-        self.value = value
 
+class _Binary(Node):
+    """The two-operand atoms and connectives."""
 
-class Leq(Node):
     _fields = ('left', 'right')
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+
+class Leq(_Binary):
+    pass
 
 
-class Eq(Node):
-    _fields = ('left', 'right')
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+class Eq(_Binary):
+    pass
 
 
 class Not(Node):
     _fields = ('body',)
-
-    def __init__(self, body):
-        self.body = body
-
-
-class _Binary(Node):
-    _fields = ('left', 'right')
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
 
 
 class And(_Binary):
@@ -135,49 +128,28 @@ class Iff(_Binary):
 class Exists(Node):
     _fields = ('var', 'body')
 
-    def __init__(self, var, body):
-        self.var = var
-        self.body = body
-
 
 class Forall(Node):
     _fields = ('var', 'body')
 
-    def __init__(self, var, body):
-        self.var = var
-        self.body = body
-
 
 def free_vars(f):
     """The free variable names of a formula."""
+    if not isinstance(f, Node):
+        raise TypeError('not a formula node: %r' % (f,))
     if isinstance(f, Var):
         return {f.name}
-    if isinstance(f, Const):
-        return set()
-    if isinstance(f, (Leq, Eq)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, _Binary):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError('not a formula node: %r' % (f,))
+    names = set().union(*map(free_vars, f.children()))
+    return names - {f.var} if isinstance(f, (Exists, Forall)) else names
 
 
 def constants_of(f):
     """All Const nodes of a formula, keyed by name."""
+    if isinstance(f, Const):
+        return {f.name: f.value}
     out = {}
-
-    def walk(node):
-        if isinstance(node, Const):
-            out[node.name] = node.value
-        elif isinstance(node, (Leq, Eq, _Binary)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Not, Exists, Forall)):
-            walk(node.body)
-    walk(f)
+    for child in f.children():
+        out.update(constants_of(child))
     return out
 
 
@@ -219,8 +191,7 @@ def _height(f):
     height, level = 0, [f]
     while level:
         height += 1
-        level = [child for node in level for child in map(
-            node.__getattribute__, node._fields) if isinstance(child, Node)]
+        level = [child for node in level for child in node.children()]
     return height
 
 
@@ -344,10 +315,10 @@ class _Parser:
         return Var(val)
 
 
-def parse(text, constants=None):
+def parse(text):
     """Parse a formula file: optional const prelude, then one formula."""
     stripped = _strip_comments(text)
-    table = dict(constants) if constants else {}
+    table = {}
     pos = 0
     while True:
         match = _PRELUDE_RE.match(stripped, pos)
@@ -693,16 +664,24 @@ class _Compiled:
 
     def _transposed(self, f, q, inner):
         """Q y phi as a row over q: phi compiled with row q (q <= y reads
-        down[y]) and looped over y, only where the conjuncts of G leaving q
-        out hold if phi is G -> psi (forall) or G & psi (exists), while bits
-        are pending: still true (forall), or not yet witnessed (exists)."""
+        down[y]) and looped over y while bits are pending: still true
+        (forall), or not yet witnessed (exists).  If phi is G -> psi
+        (forall) or a conjunction G (exists), y runs only where the
+        conjuncts of G leaving q out hold, and phi is compiled without
+        them: rest -> psi (psi if none is left), or the rest of G, never
+        empty since it keeps the atom q <= y that _transposes asks for."""
         y, want_all, full = f.var, isinstance(f, Forall), self.full
-        body = self._closure(f.body, q, inner)
-        kept = []
-        if isinstance(f.body, Implies if want_all else And):
-            kept = [g for g in _parts(f.body.left if want_all else f.body, And)
-                    if q not in free_vars(g)]
-        guard = kept and self._closure(functools.reduce(And, kept), y, inner)
+        phi, guard = f.body, None
+        if isinstance(phi, Implies if want_all else And):
+            parts = _parts(phi.left if want_all else phi, And)
+            kept = [g for g in parts if q not in free_vars(g)]
+            rest = [g for g in parts if q in free_vars(g)]
+            if kept:
+                guard = self._closure(functools.reduce(And, kept), y, inner)
+                phi = rest and functools.reduce(And, rest)
+                if want_all:
+                    phi = Implies(phi, f.body.right) if rest else f.body.right
+        body = self._closure(phi, q, inner)
 
         def fill(env, need):
             local, pending = dict(env), need
@@ -721,14 +700,14 @@ def _parts(f, kinds):
     """f split through its connectives of the given kinds, left to right."""
     if not isinstance(f, kinds):
         return [f]
-    return [g for name in f._fields for g in _parts(getattr(f, name), kinds)]
+    return [g for child in f.children() for g in _parts(child, kinds)]
 
 
 def _transposes(f, q):
     """Whether f = Q y phi, swept as a row over q, loops over y instead:
     phi has an atom q <= y, no y <= q, and no quantified subformula with
     q free (its row would be keyed on q, which is not in env there)."""
-    direct, y = _parts(f.body, (Not, _Binary)), Var(f.var)
+    direct, y = _parts(f.body, (Not, And, Or, Implies, Iff)), Var(f.var)
     return (Leq(Var(q), y) in direct and Leq(y, Var(q)) not in direct
             and not any(isinstance(g, (Exists, Forall)) and q in free_vars(g)
                         for g in direct))
@@ -750,21 +729,17 @@ def evaluate(f, assignment, universe, config):
 
 def defined_set(f, free_var, universe, config):
     """All partitions of cardinality <= maxCard satisfying a one-variable formula."""
-    names = free_vars(f)
-    if names != {free_var}:
-        raise EvalError('expected exactly the free variable %r, formula has %s'
-                        % (free_var, sorted(names) or 'none'))
-    compiled = compile_formula(f, universe, config)
-    return {pi for pi, in compiled.relation((free_var,), config.max_card)}
+    return {pi for pi, in defined_relation(f, (free_var,), universe, config)}
 
 
 def defined_relation(f, free_var_names, universe, config):
-    """All tuples over cardinality <= maxCard satisfying the formula; the
-    sweep order is the universe order on every coordinate."""
-    names = free_vars(f)
-    if names != set(free_var_names):
-        raise EvalError('free variables %s do not match %s'
-                        % (sorted(names), list(free_var_names)))
+    """All tuples over cardinality <= maxCard satisfying the formula, one
+    coordinate per name; the names are its free variables, each named
+    once.  The sweep order is the universe order on every coordinate."""
+    names = sorted(free_vars(f))
+    if names != sorted(free_var_names):
+        raise EvalError('free variables %s do not match %s, each named once'
+                        % (names, list(free_var_names)))
     compiled = compile_formula(f, universe, config)
     return compiled.relation(tuple(free_var_names), config.max_card)
 
@@ -790,11 +765,8 @@ def stability_check(f, names, universe, max_card, slacks):
         raise EvalError('empty slack schedule')
     sets = []
     for k in slacks:
-        config = EvalConfig(max_card, k)
-        if len(names) == 1:
-            sets.append(defined_set(f, names[0], universe, config))
-        else:
-            sets.append(defined_relation(f, names, universe, config))
+        found = defined_relation(f, names, universe, EvalConfig(max_card, k))
+        sets.append({pi for pi, in found} if len(names) == 1 else found)
     flips = [(value, k0, k1, value in before)
              for k0, k1, before, after in zip(slacks, slacks[1:], sets, sets[1:])
              for value in sorted(before ^ after, key=repr)]

@@ -361,10 +361,8 @@ class Universe:
         return self._up_bits
 
     def up_mask(self, i):
-        """up_bits()[i] << i, read off the down cache if the up cache is
-        not built: bit j >= i is set when down_bits()[j] has bit i."""
-        if self._up_bits is not None:
-            return self._up_bits[i] << i
+        """up_bits()[i] << i, read off the down cache: bit j >= i is set
+        when down_bits()[j] has bit i."""
         down, bit = self.down_bits(), 1 << i
         return int('0' + ''.join('1' if down[j] & bit else '0' for j in
                                  range(len(down) - 1, i - 1, -1)), 2) << i

@@ -125,7 +125,23 @@ wide_formula_trees = st.recursive(atoms, _wrap, max_leaves=20)
 
 @given(formula_trees)
 def test_print_parse_roundtrip(f):
-    assert F.parse(F.print_file(f)) == f
+    g = F.parse(F.print_file(f))
+    assert g == f and hash(g) == hash(f)
+
+
+def test_node_shape():
+    # fields are set in order; classes of one shape never compare equal
+    a, b = F.Var('x'), F.Leq(F.Var('x'), F.Var('y'))
+    for one, other in ((F.Leq(a, a), F.Eq(a, a)), (F.And(b, b), F.Or(b, b)),
+                       (F.Exists('y', b), F.Forall('y', b))):
+        assert one != other and one.children() == other.children()
+    assert F.Forall('y', b).var == 'y' and F.Leq(a, b).right is b
+    assert F.Const('c', EMPTY).children() == []
+    for make, values in ((F.Var, ()), (F.Not, (b, b)), (F.Forall, ('y',))):
+        with pytest.raises(TypeError):
+            make(*values)
+    with pytest.raises(TypeError):
+        F.free_vars('x')
 
 
 def test_print_minimal_parentheses():
@@ -449,6 +465,8 @@ def test_cover_formulas_still_build_the_up_cache():
     # a conjunction under forall, an implication under exists: no guard
     ('const c = [2]+[1];\nforall z (z <= c & x <= z)', True),
     ('const c = [2]+[1];\nexists z (z <= c -> x <= z & z != x)', True),
+    # a guard that is all of G: forall z (G -> psi) loops over psi alone
+    ('const c = [2]+[1];\nforall z (c <= z -> x <= z)', True),
     # x <= y with y <= x, or with a nested quantifier that has x free,
     # keeps the sweep over x
     ('forall y (x <= y & y <= x -> x = y)', False),
@@ -459,6 +477,19 @@ def test_each_quantifier_orientation_agrees_with_naive(text, transposed):
     assert F._transposes(F.parse(text), 'x') == transposed
     for slack in range(3):
         _agrees_with_naive(text, slack=slack)
+
+
+def test_transposed_sweep_asks_its_guard_once(monkeypatch):
+    # z <= c picks the z to loop over; the body compiled for the loop
+    # leaves it out, so no atom falls back to a scalar leq per z
+    calls = []
+    monkeypatch.setattr(F, 'leq', lambda a, b: calls.append(1) or leq(a, b))
+    universe = Universe(12)
+    for c in (p('[2]+[1]'), p('2[3]+[1]')):
+        f = F.parse(LOWER_COVER % render(c))
+        assert F.defined_set(f, 'x', universe, F.EvalConfig(11, 1)) \
+            == lower_covers(c)
+    assert calls == []
 
 
 def test_constant_up_mask_is_read_off_the_down_cache():
@@ -494,6 +525,16 @@ def test_defined_set_arity_errors():
         F.defined_set(F.parse(COVER), 'x', UNI6, F.EvalConfig(4))
     with pytest.raises(F.EvalError):
         F.defined_set(F.parse("forall y (x <= y)"), 'y', UNI6, F.EvalConfig(4))
+
+
+def test_repeated_variable_names_are_refused():
+    # zip(names, ...) would let the last x overwrite the first, and
+    # (2[1], 0) would come out although 2[1] is not total
+    f = F.parse("const c = [1]+[1];\n!(c <= x)")
+    with pytest.raises(F.EvalError):
+        F.defined_relation(f, ('x', 'x'), UNI6, F.EvalConfig(2))
+    with pytest.raises(F.EvalError):
+        F.stability_check(f, ('x', 'x'), UNI6, 2, [0, 1])
 
 
 def test_defined_relation_matches_covers():

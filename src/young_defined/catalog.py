@@ -473,17 +473,7 @@ def char_mult(rho, sigma, pi):
     parts of size |sigma|, expressed through the height-equality
     characterization (degenerate rectangles are the empty partition)."""
     _check_totals(rho, sigma, pi)
-    beta = rectangle(rho.card, sigma.card)
-    return (char_height_geq(pi, beta)
-            and not char_height_geq(total(pi.card + 1), beta))
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-
-def reconstruction_key(pi):
-    """An order-independent fingerprint of the lower-cover set."""
-    return frozenset(lower_covers(pi))
+    return char_height_eq(pi, rectangle(rho.card, sigma.card))
 
 
 # ---------------------------------------------------------------------------

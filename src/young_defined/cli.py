@@ -150,7 +150,7 @@ def build_parser():
 
     p = sub.add_parser('automorphisms',
                        help='search rank-preserving diagram automorphisms')
-    p.add_argument('--max-rank', type=int, default=8)
+    p.add_argument('--max-rank', type=int, default=harness.AUTOMORPHISM_RANK)
     p.add_argument('--json', action='store_true')
     p.set_defaults(run=_cmd_automorphisms)
 

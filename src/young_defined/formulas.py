@@ -200,7 +200,7 @@ _PRELUDE_RE = re.compile(r'\s*const\s+([A-Za-z_]\w*)\s*=\s*([^;]*);')
 
 class _Parser:
 
-    def __init__(self, text, constants, start=0):
+    def __init__(self, text, constants, start):
         self.text = text
         self.constants = constants
         self.tokens = []

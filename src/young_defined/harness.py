@@ -15,7 +15,7 @@ import time
 from . import formulas
 from .arithmetization import decode, encode, ord_via_encoding
 from .catalog import (all_pairs, get_pair, is_rectangular, is_total,
-                      is_trivial, reconstruction_key, total)
+                      is_trivial, total)
 from .partitions import (EMPTY, ResourceLimit, conjugate, enumerate_universe,
                          leq, lower_covers, parse_partition, partition_count,
                          render)
@@ -163,14 +163,16 @@ def reconstruction_check(max_card):
         raise UsageError('reconstruction check needs max_card >= 4')
     start = time.perf_counter()
     universe = enumerate_universe(max_card)
-    total_checked = 0
+    covers, offsets = universe.cover_table()
+    i = 0       # ordinals run level by level, so pi's is a running count
     mismatches = []
     collisions_by_level = {}
     for n, level in enumerate(universe.levels):
         groups = {}
         for pi in level:
-            total_checked += 1
-            groups.setdefault(reconstruction_key(pi), []).append(pi)
+            key = frozenset(covers[offsets[i]:offsets[i + 1]])
+            groups.setdefault(key, []).append(pi)
+            i += 1
         collided = sorted([sorted(render(p) for p in g)
                            for g in groups.values() if len(g) > 1])
         if collided:
@@ -183,7 +185,7 @@ def reconstruction_check(max_card):
     return CheckReport(
         'reconstruction-from-lower-covers',
         'levels 0..%d; injectivity required on levels 4..%d' % (max_card, max_card),
-        total_checked, mismatches, time.perf_counter() - start, verdict,
+        len(universe), mismatches, time.perf_counter() - start, verdict,
         details={'level2Collision': level2,
                  'level3Injective': 3 not in collisions_by_level},
         note='the two partitions of 2 share the single lower cover [1]')
@@ -192,10 +194,11 @@ def reconstruction_check(max_card):
 # ---------------------------------------------------------------------------
 # automorphisms of the truncated diagram
 
+AUTOMORPHISM_RANK = 8
 AUTOMORPHISM_RANK_CEILING = 12
 
 
-def automorphism_search(max_rank=8):
+def automorphism_search(max_rank):
     """All rank-preserving bijections of levels 0..max_rank preserving
     the cover relation in both directions, by per-level backtracking.
 
@@ -210,10 +213,11 @@ def automorphism_search(max_rank=8):
                             % AUTOMORPHISM_RANK_CEILING)
     universe = enumerate_universe(max_rank)
     elements = universe.elements
-    lc = [frozenset(universe.ordinal(c) for c in lower_covers(pi))
-          for pi in elements]
-    levels = [[universe.ordinal(pi) for pi in level]
-              for level in universe.levels]
+    covers, offsets = universe.cover_table()
+    lc = [frozenset(covers[offsets[i]:offsets[i + 1]])
+          for i in range(len(elements))]
+    levels = [range(universe.ordinal_cutoff(n - 1), universe.ordinal_cutoff(n))
+              for n in range(max_rank + 1)]
     image = [None] * len(elements)
     used = set()
     found = []
@@ -247,7 +251,7 @@ def classify_automorphism(mapping):
     return 'other'
 
 
-def automorphism_report(max_rank=8):
+def automorphism_report(max_rank):
     start = time.perf_counter()
     maps = automorphism_search(max_rank)
     kinds = sorted(classify_automorphism(m) for m in maps)
@@ -285,14 +289,10 @@ class FinitePoset:
                 raise UsageError('relation mentions undeclared element %r'
                                  % (a if a not in position else b))
         less = set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(less):
-                for c, d in list(less):
-                    if b == c and (a, d) not in less:
-                        less.add((a, d))
-                        changed = True
+        for b in self.elements:     # Warshall: close through each b in turn
+            below = [a for a in self.elements if (a, b) in less]
+            above = [c for c in self.elements if (b, c) in less]
+            less.update((a, c) for a in below for c in above)
         for e in self.elements:
             if (e, e) in less:
                 raise UsageError('poset relation has a cycle through %r' % e)
@@ -348,7 +348,6 @@ def embed_poset(poset, max_card):
     full = (1 << m) - 1
     down = universe.down_bits()
     up = [mask << o for o, mask in enumerate(universe.up_bits())]
-    strict_down = [down[o] & ~(1 << o) for o in range(m)]
     strict_up = [up[o] & ~(1 << o) for o in range(m)]
     incomparable = [full & ~(down[o] | up[o]) for o in range(m)]
 
@@ -362,15 +361,11 @@ def embed_poset(poset, max_card):
     order = sorted(poset.elements,
                    key=lambda e: (depth(e), poset.elements.index(e)))
     index = {e: i for i, e in enumerate(order)}
-    relation = [[None] * len(order) for _ in order]
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            if (a, b) in poset.less:
-                relation[i][j] = 'below'
-            elif (b, a) in poset.less:
-                relation[i][j] = 'above'
-            elif i != j:
-                relation[i][j] = 'incomparable'
+    # in depth order no element is below one placed before it, so a later
+    # element's image is either strictly above or incomparable to this
+    # one's; neither mask holds this image, so the images stay distinct
+    narrow = [[strict_up if (a, b) in poset.less else incomparable
+               for b in order] for a in order]
 
     images = [None] * len(order)
 
@@ -385,13 +380,7 @@ def embed_poset(poset, max_card):
             narrowed = list(candidates)
             ok = True
             for j in range(i + 1, len(order)):
-                if relation[i][j] == 'below':
-                    narrowed[j] &= strict_up[u]
-                elif relation[i][j] == 'above':
-                    narrowed[j] &= strict_down[u]
-                else:
-                    narrowed[j] &= incomparable[u]
-                narrowed[j] &= ~low
+                narrowed[j] &= narrow[i][j][u]
                 if narrowed[j] == 0:
                     ok = False
                     break
@@ -607,7 +596,6 @@ def check_all(profile):
         raise UsageError('unknown profile %r; expected one of %s'
                          % (profile, ', '.join(PROFILES)))
     quick = profile == 'quick'
-    thorough = profile == 'thorough'
     reports = []
     by_name = {}
     for pair in all_pairs():
@@ -616,8 +604,9 @@ def check_all(profile):
         reports.append(report)
     reports.append(variant_resolution(by_name['prop-3.6-part-of-a'],
                                       by_name['prop-3.6-part-of-b']))
-    reports.append(reconstruction_check(10 if quick else 26 if thorough else 25))
-    reports.append(automorphism_report(5 if quick else 9 if thorough else 8))
+    reports.append(reconstruction_check(_profile_bound(25, profile, 10)))
+    reports.append(automorphism_report(
+        _profile_bound(AUTOMORPHISM_RANK, profile, 5)))
     reports.append(arithmetization_report(
         max_card=8 if quick else 15,
         integer_ceiling=10 ** 4 if quick else 10 ** 6,

@@ -161,36 +161,29 @@ def lower_covers(pi):
     return {Partition(r) for r in _lower_cover_runs(pi.runs)}
 
 
+def _upper_cover_runs(runs):
+    """The run tuples of the upper covers of a partition, one per run and
+    one more: add a box to the first row of that run, or start a new row."""
+    for idx, (n, m) in enumerate(runs):
+        head = runs[:idx]
+        tail = runs[idx + 1:] if m == 1 else ((n, m - 1),) + runs[idx + 1:]
+        if head and head[-1][0] == n + 1:     # merge into the run before
+            yield head[:-1] + ((n + 1, head[-1][1] + 1),) + tail
+        else:
+            yield head + ((n + 1, 1),) + tail
+    if runs and runs[-1][0] == 1:             # the last run gains a row
+        yield runs[:-1] + ((1, runs[-1][1] + 1),)
+    else:
+        yield runs + ((1, 1),)
+
+
 def upper_covers(pi, universe):
-    """All covers of pi inside the universe (its next level must exist):
-    add one box to the first row of a run, or start a new row."""
+    """All covers of pi inside the universe (its next level must exist),
+    one per run of pi and one more."""
     if pi.card + 1 > universe.max_card:
         raise ResourceLimit('level %d is not enumerated (maxCard=%d)'
                             % (pi.card + 1, universe.max_card))
-    out = set()
-    runs = pi.runs
-    for idx, (n, m) in enumerate(runs):
-        new = list(runs)
-        if m == 1:
-            del new[idx]
-        else:
-            new[idx] = (n, m - 1)
-        # the grown part has size n+1; merge with the run before if it matches
-        if idx > 0 and runs[idx - 1][0] == n + 1:
-            at = idx - 1
-            size, mult = new[at]
-            new[at] = (size, mult + 1)
-        else:
-            new.insert(idx, (n + 1, 1))
-        out.add(Partition(new))
-    # a brand-new row of size 1
-    if runs and runs[-1][0] == 1:
-        new = list(runs)
-        new[-1] = (1, runs[-1][1] + 1)
-    else:
-        new = list(runs) + [(1, 1)]
-    out.add(Partition(new))
-    return out
+    return {Partition(r) for r in _upper_cover_runs(pi.runs)}
 
 
 def conjugate(pi):
@@ -308,7 +301,7 @@ class Universe:
                                 'bytes, over the ceiling %d'
                                 % (self.max_card, need, MAX_BIT_CACHE_BYTES))
 
-    def _cover_table(self):
+    def cover_table(self):
         """The lower covers of every element as one flat array of ordinals,
         those of ordinal i at covers[offsets[i]:offsets[i + 1]]."""
         if self._covers is None:
@@ -329,7 +322,7 @@ class Universe:
         """
         if self._down_bits is None:
             self._check_bit_cache()
-            covers, offsets = self._cover_table()
+            covers, offsets = self.cover_table()
             bits = []
             for i in range(len(self.elements)):
                 mask = 1 << i
@@ -351,7 +344,7 @@ class Universe:
         """
         if self._up_bits is None:
             self._check_bit_cache()
-            covers, offsets = self._cover_table()
+            covers, offsets = self.cover_table()
             bits = [0] * len(self.elements)
             for i in range(len(bits) - 1, -1, -1):
                 mask = bits[i] = bits[i] | 1

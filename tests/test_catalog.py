@@ -95,6 +95,24 @@ def test_domain_sweeps_the_last_argument_fastest():
         for sigma in (p('[1]'), p('2[1]')) for pi in universe]
 
 
+# one value just outside each restricted candidate list
+OUTSIDE = {C._totals: p('[1]+[1]'), C._nonempty_totals: EMPTY,
+           C._nonempty_trivials: EMPTY, C._trivials: p('[2]')}
+
+
+def test_guards_agree_with_the_declared_domain():
+    for pair in C.all_pairs():
+        valid = next(iter(pair.domain(enumerate_universe(4))))
+        for k, each in enumerate(pair.candidates):
+            if each is C._each:
+                continue
+            args = valid[:k] + (OUTSIDE[each],) + valid[k + 1:]
+            with pytest.raises(C.DomainError):
+                pair.oracle(*args)
+            with pytest.raises(C.DomainError):
+                pair.characterization(*args)
+
+
 def test_get_pair_unknown():
     with pytest.raises(KeyError):
         C.get_pair('prop-0.0-nothing')
@@ -277,10 +295,3 @@ def test_char_height_geq_sweep_needs_room():
     pi = p('(4,4,4)')   # factorial sum has cardinality well beyond 6
     with pytest.raises(ResourceLimit):
         C.char_height_geq_sweep(C.total(3), pi, enumerate_universe(6))
-
-
-def test_reconstruction_key():
-    assert C.reconstruction_key(p('[2]')) == C.reconstruction_key(p('2[1]'))
-    level4 = enumerate_universe(4).levels[4]
-    keys = {C.reconstruction_key(pi) for pi in level4}
-    assert len(keys) == len(level4)

@@ -396,6 +396,16 @@ def test_evaluate_constants_outside_the_universe():
     assert F.evaluate(g, {'x': p('(5,1)')}, UNI6, F.EvalConfig(6, 0))
 
 
+def test_outside_value_numbered_after_the_up_cache_exists():
+    compiled = F.compile_formula(F.parse('forall y (x <= y)'), Universe(6),
+                                 F.EvalConfig(5, 1))
+    assert not compiled.run({'x': p('[9]+[9]')})    # builds the up cache
+    assert compiled.up is not None
+    assert not compiled.run({'x': p('[20]')})       # numbered after it
+    assert compiled.run({'x': EMPTY})
+    assert len(compiled.up) == len(compiled.values)
+
+
 def test_each_atom_orientation_matches_a_leq_sweep():
     # x <= c and c <= x read a constant's down and up mask; x <= y with
     # y swept reads the up mask of a variable's value

@@ -8,9 +8,11 @@ import time
 
 import pytest
 
-from young_defined import cli, formulas, harness
+from young_defined import cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs
-from young_defined.partitions import enumerate_level, parse_partition, render
+from young_defined.partitions import (Universe, enumerate_level,
+                                      enumerate_universe, parse_partition,
+                                      render)
 
 
 # --- reports
@@ -93,6 +95,31 @@ def test_reconstruction_from_lower_covers():
     assert report.details['level3Injective']
 
 
+def test_reconstruction_reports_a_collision_above_level_3(monkeypatch):
+    table = Universe.cover_table
+
+    def merged(universe):
+        covers, offsets = table(universe)
+        covers = covers[:]
+        a, b = (offsets[universe.ordinal(parse_partition(text))]
+                for text in ('[4]', '2[2]'))
+        covers[b] = covers[a]       # 2[2] now covers [3] alone, as [4] does
+        return covers, offsets
+    monkeypatch.setattr(Universe, 'cover_table', merged)
+    report = harness.reconstruction_check(6)
+    assert report.verdict == 'fail'
+    assert report.witnesses == [{'level': 4, 'groups': [['2[2]', '[4]']]}]
+
+
+def test_cover_suites_read_the_cover_table(monkeypatch):
+    calls = []
+    for module in (harness, partitions):
+        monkeypatch.setattr(module, 'lower_covers', calls.append)
+    assert harness.reconstruction_check(12).verdict == 'pass'
+    assert harness.automorphism_report(6).verdict == 'pass'
+    assert calls == []
+
+
 def test_reconstruction_needs_enough_levels():
     with pytest.raises(harness.UsageError):
         harness.reconstruction_check(3)
@@ -106,6 +133,13 @@ def test_automorphism_counts_by_rank():
     assert len(maps) == 2
     kinds = {harness.classify_automorphism(m) for m in maps}
     assert kinds == {'identity', 'conjugation'}
+
+
+def test_a_swap_within_one_level_is_other():
+    mapping = {pi: pi for pi in enumerate_universe(3)}
+    a, b = parse_partition('[3]'), parse_partition('[2]+[1]')
+    mapping[a], mapping[b] = b, a
+    assert harness.classify_automorphism(mapping) == 'other'
 
 
 def test_automorphism_report():

@@ -2,6 +2,7 @@
 lattice operations, enumeration, and the text forms."""
 
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,23 @@ def test_upper_covers_need_next_level():
         upper_covers(top, UNI)
 
 
+# sizes and multiplicities far beyond any enumerated universe
+wide_partitions = st.dictionaries(
+    st.integers(1, 60), st.integers(1, 1000), max_size=6).map(
+        lambda counts: Partition(sorted(counts.items(), reverse=True)))
+
+
+@given(wide_partitions)
+def test_upper_covers_are_the_inverse_of_lower_covers(pi):
+    # upper_covers reads only the universe's max_card, so a stand-in
+    # reaches cardinalities that no enumeration could
+    room = types.SimpleNamespace(max_card=pi.card + 1)
+    above = upper_covers(pi, room)
+    assert len(above) == len(pi.runs) + 1
+    assert all(pi in lower_covers(sigma) for sigma in above)
+    assert all(pi in upper_covers(rho, room) for rho in lower_covers(pi))
+
+
 def test_cover_count_is_runs_plus_one():
     for pi in enumerate_universe(8):
         assert len(upper_covers(pi, UNI)) == len(pi.runs) + 1
@@ -262,6 +280,15 @@ def test_universe_lookup():
     assert UNI.ordinal_cutoff(UNI.max_card + 5) == len(UNI)
     assert parse_partition('(2,1)') in UNI
     assert len(UNI) == len(UNI.elements)
+
+
+def test_cover_table_matches_lower_covers():
+    covers, offsets = UNI.cover_table()
+    assert len(offsets) == len(UNI) + 1
+    for i, pi in enumerate(UNI.elements):
+        table = [UNI.elements[j] for j in covers[offsets[i]:offsets[i + 1]]]
+        assert len(table) == len(set(table))
+        assert set(table) == lower_covers(pi)
 
 
 def test_universe_bit_caches_agree_with_leq():

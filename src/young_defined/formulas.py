@@ -16,7 +16,11 @@ universe ordinals of one variable, connectives combine rows with & | ^
 is a lookup in the universe's bit caches.  A quantified subformula is a
 row over its innermost bound free variable, memoized for each value of
 its other free variables, so it is computed once per outer value rather
-than once per assignment of all the variables around it.
+than once per assignment of all the variables around it.  Its guard is
+split once (`_split_guard`), for both ways of sweeping it: the conjuncts
+of G in `forall y (G -> psi)` or `exists y (G)` that leave the swept
+variable out are asked once per sweep, the others and psi only on their
+bits.
 """
 
 import functools
@@ -619,21 +623,28 @@ class _Compiled:
     def _quantifier(self, f, row, depth):
         inner = dict(depth)
         inner[f.var] = max(depth.values(), default=-1) + 1
-        body = self._closure(f.body, f.var, inner)
-        full, want_all = self.full, isinstance(f, Forall)
-
-        def holds(env):
-            mask = body(env, full)
-            return mask == full if want_all else mask != 0
-
         free = free_vars(f)
         q = max(free, key=depth.__getitem__, default=None)
+        kept, rest, then = _split_guard(f, q)
+        full, want_all = self.full, isinstance(f, Forall)
+        guard, rest_row = [self._closure(part, f.var, inner) if part
+                           else lambda env, care: care for part in (kept, rest)]
+        then_row = then and self._closure(then, f.var, inner)
+
+        def holds(env, base):
+            """Q y phi at env, with base the bits of y where kept holds."""
+            hit = rest_row(env, base) if base else 0
+            if want_all:
+                return not hit or then_row(env, hit) == hit
+            return hit != 0
+
         rows = self.rows.setdefault(_rename(f, q, '#'), {})
         others = sorted(free - {q})
         key = operator.itemgetter(*others) if others else (lambda env: ())
 
         if q is not None and q == row:
-            transposed = _transposes(f, q) and self._transposed(f, q, inner)
+            transposed = _transposes(f, q) and self._transposed(
+                f, q, inner, guard, rest, then)
 
             def sweep(env, care):
                 k = key(env)
@@ -642,11 +653,11 @@ class _Compiled:
                 if need:
                     if transposed:
                         true |= transposed(env, need)
-                    else:
-                        local = dict(env)
+                    else:   # kept leaves q out: asked once, not per bit
+                        local, base = dict(env), guard(env, full)
                         for i in _ones(need):
                             local[q] = i
-                            if holds(local):
+                            if holds(local, base):
                                 true |= 1 << i
                     rows[k] = (known | need, true)
                 return true & care
@@ -657,36 +668,26 @@ class _Compiled:
             known, true = rows.get(k, (0, 0))
             bit = 1 << (env[q] if q else 0)
             if not known & bit:
-                true |= bit if holds(env) else 0
+                true |= bit if holds(env, guard(env, full)) else 0
                 rows[k] = (known | bit, true)
             return care if true & bit else 0
         return lookup
 
-    def _transposed(self, f, q, inner):
-        """Q y phi as a row over q: phi compiled with row q (q <= y reads
-        down[y]) and looped over y while bits are pending: still true
-        (forall), or not yet witnessed (exists).  If phi is G -> psi
-        (forall) or a conjunction G (exists), y runs only where the
-        conjuncts of G leaving q out hold, and phi is compiled without
-        them: rest -> psi (psi if none is left), or the rest of G, never
-        empty since it keeps the atom q <= y that _transposes asks for."""
+    def _transposed(self, f, q, inner, guard, rest, then):
+        """Q y phi as a row over q, from the split of _split_guard: y
+        runs over the bits of guard, the row of kept, while bits are
+        pending: still true (forall), or not yet witnessed (exists).  What
+        is left of phi is compiled with row q (q <= y reads down[y]):
+        rest -> then (then if there is no rest) for forall, rest for
+        exists, never empty since it keeps the atom q <= y that
+        _transposes asks for."""
         y, want_all, full = f.var, isinstance(f, Forall), self.full
-        phi, guard = f.body, None
-        if isinstance(phi, Implies if want_all else And):
-            parts = _parts(phi.left if want_all else phi, And)
-            kept = [g for g in parts if q not in free_vars(g)]
-            rest = [g for g in parts if q in free_vars(g)]
-            if kept:
-                guard = self._closure(functools.reduce(And, kept), y, inner)
-                phi = rest and functools.reduce(And, rest)
-                if want_all:
-                    phi = Implies(phi, f.body.right) if rest else f.body.right
+        phi = Implies(rest, then) if rest and then else rest or then
         body = self._closure(phi, q, inner)
 
         def fill(env, need):
             local, pending = dict(env), need
-            ys = _ones(guard(env, full)) if guard else range(full.bit_length())
-            for j in ys:
+            for j in _ones(guard(env, full)):
                 local[y] = j
                 hit = body(local, pending)
                 pending = hit if want_all else pending ^ hit
@@ -701,6 +702,22 @@ def _parts(f, kinds):
     if not isinstance(f, kinds):
         return [f]
     return [g for child in f.children() for g in _parts(child, kinds)]
+
+
+def _split_guard(f, q):
+    """(kept, rest, then) for f = Q y phi swept over q, each None when
+    empty: for forall y (G -> psi) the conjuncts of G that leave q out,
+    the others, and psi; for exists y (phi) the same split of phi's
+    conjuncts, with no then; for any other forall, (None, None, phi)."""
+    want_all = isinstance(f, Forall)
+    if want_all and not isinstance(f.body, Implies):
+        return None, None, f.body
+    parts = _parts(f.body.left if want_all else f.body, And)
+    kept = [g for g in parts if q not in free_vars(g)]
+    rest = [g for g in parts if q in free_vars(g)]
+    return (kept and functools.reduce(And, kept) or None,
+            rest and functools.reduce(And, rest) or None,
+            f.body.right if want_all else None)
 
 
 def _transposes(f, q):

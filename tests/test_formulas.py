@@ -1,15 +1,18 @@
 """Formula language: parser, printer, classification, and the truncated
 evaluator (checked against a deliberately naive interpreter)."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from young_defined import formulas as F
+from young_defined import harness
 from young_defined.catalog import is_rectangular, is_total, is_trivial
-from young_defined.partitions import (EMPTY, Universe, enumerate_universe,
-                                      leq, lower_covers, parse_partition,
-                                      render, upper_covers)
+from young_defined.partitions import (EMPTY, Universe, conjugate,
+                                      enumerate_universe, leq, lower_covers,
+                                      parse_partition, render, upper_covers)
 
 p = parse_partition
 UNI6 = enumerate_universe(6)
@@ -101,11 +104,20 @@ def test_nesting_up_to_the_limit_parses_and_evaluates():
 
 names = st.sampled_from(['x', 'y', 'z'])
 consts = st.sampled_from([('c1', p('[1]')), ('c2', p('(2,1)'))])
-terms = st.one_of(names.map(F.Var), consts.map(lambda nv: F.Const(*nv)))
-atoms = st.builds(
-    lambda kind, a, b: kind(a, b),
-    st.sampled_from([F.Leq, F.Eq, lambda a, b: F.Not(F.Eq(a, b))]),
-    terms, terms)
+atom_kinds = st.sampled_from([F.Leq, F.Eq, lambda a, b: F.Not(F.Eq(a, b))])
+
+
+def _terms(variables):
+    return st.one_of(st.sampled_from(variables).map(F.Var),
+                     consts.map(lambda nv: F.Const(*nv)))
+
+
+def _atoms_over(variables):
+    return st.builds(lambda kind, a, b: kind(a, b),
+                     atom_kinds, _terms(variables), _terms(variables))
+
+
+atoms = _atoms_over(['x', 'y', 'z'])
 
 
 def _wrap(children):
@@ -500,6 +512,144 @@ def test_transposed_sweep_asks_its_guard_once(monkeypatch):
         assert F.defined_set(f, 'x', universe, F.EvalConfig(11, 1)) \
             == lower_covers(c)
     assert calls == []
+
+
+# --- guard shapes: forall v (G1 & ... & Gk -> psi), exists v (G1 & ... & Gk & psi)
+
+# w sorts before x, so x is the swept (last, innermost) variable
+_leaving_x_out = st.one_of(
+    _atoms_over(['z', 'w']),
+    _atoms_over(['x', 'z']).map(lambda g: F.Exists('x', g)))   # x only bound
+_keeping_x = st.builds(   # x on either side
+    lambda kind, t, first: kind(F.Var('x'), t) if first else kind(t, F.Var('x')),
+    atom_kinds, _terms(['z', 'w']), st.booleans())
+_psi = st.recursive(_atoms_over(['x', 'z', 'w']), lambda children: st.one_of(
+    children.map(F.Not),
+    st.builds(lambda kind, a, b: kind(a, b),
+              st.sampled_from([F.And, F.Or, F.Implies]), children, children)),
+    max_leaves=4)
+
+
+@st.composite
+def guarded_quantifiers(draw):
+    conjuncts = draw(st.permutations(
+        draw(st.lists(_leaving_x_out, min_size=1, max_size=3))
+        + draw(st.lists(_keeping_x, min_size=1, max_size=2))))
+    guard, psi = functools.reduce(F.And, conjuncts), draw(_psi)
+    if draw(st.booleans()):
+        return F.Forall('z', F.Implies(guard, psi))
+    return F.Exists('z', F.And(guard, psi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(guarded_quantifiers())
+def test_guarded_quantifiers_agree_with_naive(f):
+    for slack in range(3):
+        _agrees_with_naive(F.print_file(f), slack=slack)
+
+
+@pytest.mark.parametrize('text', [
+    # every conjunct leaves x out: the row sweep, the transposed loop
+    # (x <= z in psi), and a closed exists
+    'const c = [1];\nconst d = [2]+[1];\nforall z (c <= z & z <= d -> z <= x)',
+    'const c = [1];\nconst d = [2]+[1];\n'
+    'forall z (c <= z & z <= d -> x <= z | z = c)',
+    'const d = [2]+[1];\nx <= d & exists z (d <= z & z != d)',
+    # no conjunct leaves x out
+    'const c = [2]+[1];\nforall z (z <= x & z != x -> z <= c)',
+    'exists z (x <= z & z != x)',
+    'const c = [2]+[1];\nexists z (z <= x & x != z & z != c)',
+    # the conjuncts leaving x out hold nowhere (base == 0)
+    'const c = [2]+[1];\nforall z (z <= c & c <= z & z != c -> z <= x)',
+    'const c = [2]+[1];\nexists z (z <= c & c <= z & z != c & z <= x)',
+    'const c = [2]+[1];\nexists z (z <= c & c <= z & z != c & x <= z)',
+    # exists with a single conjunct, with and without x
+    'exists z (!(z <= x | x <= z))',
+    'const c = [3];\nx <= c | exists z (!(z <= c | c <= z))',
+    # forall without an implication
+    'forall z (z <= x | x <= z)',
+    'const c = [2]+[1];\nforall z (x <= z | z <= c)',
+    # x occurs only bound in a conjunct, which so leaves the free x out
+    'forall z (exists x (x <= z) & z <= x -> z = x)',
+    'const c = [1]+[1];\n'
+    'forall z (exists x (x <= z & x != z & c <= x) & z <= x -> z = x | c <= z)',
+])
+def test_guard_edge_cases_agree_with_naive(text):
+    for slack in range(3):
+        _agrees_with_naive(text, slack=slack)
+
+
+@pytest.mark.parametrize('text, parts', [
+    ('forall z (exists x (x <= z) & z <= x -> z = x)',
+     ('exists x (x <= z)', 'z <= x', 'z = x')),
+    ('forall z (w <= z & z <= x & z != w -> z = x)',
+     ('w <= z & z != w', 'z <= x', 'z = x')),
+    ('exists z (x <= z & z != x)', (None, 'x <= z & z != x', None)),
+    ('exists z (w <= z)', ('w <= z', None, None)),
+    ('forall z (z <= x | w <= z)', (None, None, 'z <= x | w <= z')),
+])
+def test_split_guard_parts(text, parts):
+    got = F._split_guard(F.parse(text), 'x')
+    assert tuple(g and F.print_formula(g) for g in got) == parts
+
+
+def test_row_sweep_asks_its_fixed_conjuncts_once(monkeypatch):
+    # c <= z leaves x out, so the sweep over x asks it once, not once for
+    # every x above c; z <= x rules out the transposed loop here
+    c = p('[2]+[1]')
+    watched = F.Leq(F.Const('c', c), F.Var('z'))
+    counts = {'atom': 0, 'sweep': 0}
+
+    def counting(method, name, wanted):
+        def compile_counted(self, f, *args):
+            closure = method(self, f, *args)
+            if not wanted(f):
+                return closure
+
+            def counted(env, care):
+                counts[name] += 1
+                return closure(env, care)
+            return counted
+        return compile_counted
+    monkeypatch.setattr(F._Compiled, '_atom', counting(
+        F._Compiled._atom, 'atom', watched.__eq__))
+    monkeypatch.setattr(F._Compiled, '_quantifier', counting(
+        F._Compiled._quantifier, 'sweep', lambda f: True))
+    universe = Universe(12)
+    f = F.parse(UPPER_COVER % render(c))
+    assert F.defined_set(f, 'x', universe, F.EvalConfig(11, 1)) \
+        == upper_covers(c, universe)
+    assert counts == {'atom': 1, 'sweep': 1}
+    assert universe._up_bits is None
+
+
+# --- conjugation: an automorphism of every truncation, at every slack
+
+def _conjugated(f):
+    """f with every constant replaced by its conjugate."""
+    if isinstance(f, F.Const):
+        return F.Const(f.name, conjugate(f.value))
+    return type(f)(*[_conjugated(v) if isinstance(v, F.Node) else v
+                     for v in map(f.__getattribute__, f._fields)])
+
+
+UNI9 = enumerate_universe(9)
+
+
+@pytest.mark.parametrize('text, max_card', [
+    pytest.param(text, min(harness._corpus_header(text)[1], 7), id=name)
+    for name, text in F.corpus().items()
+] + [pytest.param(form % c, 7, id='%s %s' % (kind, c))
+     for kind, form in (('upper-cover', UPPER_COVER), ('lower-cover', LOWER_COVER))
+     for c in ('[2]', '[3]+[1]', '2[2]+[1]')])
+def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
+    f = F.parse(text)
+    names = tuple(sorted(F.free_vars(f)))
+    for slack in range(3):
+        config = F.EvalConfig(max_card, slack)
+        want = {tuple(map(conjugate, t))
+                for t in F.defined_relation(f, names, UNI9, config)}
+        assert F.defined_relation(_conjugated(f), names, UNI9, config) == want
 
 
 def test_constant_up_mask_is_read_off_the_down_cache():

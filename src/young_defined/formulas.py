@@ -16,11 +16,11 @@ universe ordinals of one variable, connectives combine rows with & | ^
 is a lookup in the universe's bit caches.  A quantified subformula is a
 row over its innermost bound free variable, memoized for each value of
 its other free variables, so it is computed once per outer value rather
-than once per assignment of all the variables around it.  Its guard is
-split once (`_split_guard`), for both ways of sweeping it: the conjuncts
-of G in `forall y (G -> psi)` or `exists y (G)` that leave the swept
-variable out are asked once per sweep, the others and psi only on their
-bits.
+than once per assignment of all the variables around it.  It is compiled
+only for the way it runs: swept as a row (looping over y, or bit by bit)
+or looked up one value at a time.  Its guard is split once: conjuncts of
+G in `forall y (G -> psi)` or `exists y (G)` that leave the swept
+variable out are asked once per fill, the others and psi on their bits.
 """
 
 import functools
@@ -498,7 +498,6 @@ class _Compiled:
         self.full = (1 << cutoff) - 1
         self.values = list(universe.elements)
         self.down = list(universe.down_bits())
-        self.up = None          # the up cache, fetched by the first t <= row
         self.up_masks = {}      # constant ordinal -> its full-width up mask
         self.outside = {}
         self.rows = {}
@@ -514,11 +513,6 @@ class _Compiled:
             candidates = self.values[:self.full.bit_length()]
             self.down.append(sum(1 << i for i, u in enumerate(candidates)
                                  if leq(u, value)))
-            # up masks are stored from their own ordinal (up >> ordinal);
-            # a value outside the universe is larger than every element
-            # in it, so nothing there lies above it
-            if self.up is not None:
-                self.up.append(0)
         return self.outside[value]
 
     def run(self, env):
@@ -601,10 +595,10 @@ class _Compiled:
                 return lambda env, care: down[other(env)] & care
 
             def above(env, care):
-                if self.up is None:     # built on first use, 0 for outside values
-                    self.up = list(self.universe.up_bits()) + [0] * len(self.outside)
-                o = other(env)
-                return self.up[o] << o & care
+                # the up cache is built on first use; nothing lies above
+                # a value outside the universe
+                up, o = self.universe.up_bits(), other(env)
+                return up[o] << o & care if o < len(up) else 0
             return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):
@@ -626,10 +620,46 @@ class _Compiled:
         free = free_vars(f)
         q = max(free, key=depth.__getitem__, default=None)
         kept, rest, then = _split_guard(f, q)
-        full, want_all = self.full, isinstance(f, Forall)
-        guard, rest_row = [self._closure(part, f.var, inner) if part
-                           else lambda env, care: care for part in (kept, rest)]
-        then_row = then and self._closure(then, f.var, inner)
+        y, full, want_all = f.var, self.full, isinstance(f, Forall)
+        transposed = q is not None and q == row and _transposes(f, q)
+        guard = (self._closure(kept, y, inner) if kept
+                 else lambda env, care: care)
+        rows = self.rows.setdefault(_rename(f, q, '#'), {})
+        others = sorted(free - {q})
+        key = operator.itemgetter(*others) if others else (lambda env: ())
+
+        def memo(env, want, fill):
+            """The row at env, filled first on the bits of want not known."""
+            k = key(env)
+            known, true = rows.get(k, (0, 0))
+            need = want & ~known
+            if need:
+                true |= fill(env, need)
+                rows[k] = (known | need, true)
+            return true
+
+        if transposed:
+            # y runs over guard, the row of kept, while bits are pending:
+            # still true (forall), or not yet witnessed (exists).  The rest
+            # of phi, rest -> then for forall, rest for exists, has row q
+            # (q <= y reads down[y]) and keeps the atom q <= y
+            body = self._closure(Implies(rest, then) if rest and then
+                                 else rest or then, q, inner)
+
+            def fill(env, need):
+                local, pending = dict(env), need
+                for j in _ones(guard(env, full)):
+                    local[y] = j
+                    hit = body(local, pending)
+                    pending = hit if want_all else pending ^ hit
+                    if not pending:
+                        break
+                return pending if want_all else need ^ pending
+            return lambda env, care: memo(env, care, fill) & care
+
+        rest_row = (self._closure(rest, y, inner) if rest
+                    else lambda env, care: care)
+        then_row = then and self._closure(then, y, inner)
 
         def holds(env, base):
             """Q y phi at env, with base the bits of y where kept holds."""
@@ -638,63 +668,23 @@ class _Compiled:
                 return not hit or then_row(env, hit) == hit
             return hit != 0
 
-        rows = self.rows.setdefault(_rename(f, q, '#'), {})
-        others = sorted(free - {q})
-        key = operator.itemgetter(*others) if others else (lambda env: ())
-
         if q is not None and q == row:
-            transposed = _transposes(f, q) and self._transposed(
-                f, q, inner, guard, rest, then)
+            def fill(env, need):    # kept leaves q out: asked once, not per bit
+                local, base, true = dict(env), guard(env, full), 0
+                for i in _ones(need):
+                    local[q] = i
+                    if holds(local, base):
+                        true |= 1 << i
+                return true
+            return lambda env, care: memo(env, care, fill) & care
 
-            def sweep(env, care):
-                k = key(env)
-                known, true = rows.get(k, (0, 0))
-                need = care & ~known
-                if need:
-                    if transposed:
-                        true |= transposed(env, need)
-                    else:   # kept leaves q out: asked once, not per bit
-                        local, base = dict(env), guard(env, full)
-                        for i in _ones(need):
-                            local[q] = i
-                            if holds(local, base):
-                                true |= 1 << i
-                    rows[k] = (known | need, true)
-                return true & care
-            return sweep
+        def decide(env, bit):
+            return bit if holds(env, guard(env, full)) else 0
 
         def lookup(env, care):
-            k = key(env)
-            known, true = rows.get(k, (0, 0))
             bit = 1 << (env[q] if q else 0)
-            if not known & bit:
-                true |= bit if holds(env, guard(env, full)) else 0
-                rows[k] = (known | bit, true)
-            return care if true & bit else 0
+            return care if memo(env, bit, decide) & bit else 0
         return lookup
-
-    def _transposed(self, f, q, inner, guard, rest, then):
-        """Q y phi as a row over q, from the split of _split_guard: y
-        runs over the bits of guard, the row of kept, while bits are
-        pending: still true (forall), or not yet witnessed (exists).  What
-        is left of phi is compiled with row q (q <= y reads down[y]):
-        rest -> then (then if there is no rest) for forall, rest for
-        exists, never empty since it keeps the atom q <= y that
-        _transposes asks for."""
-        y, want_all, full = f.var, isinstance(f, Forall), self.full
-        phi = Implies(rest, then) if rest and then else rest or then
-        body = self._closure(phi, q, inner)
-
-        def fill(env, need):
-            local, pending = dict(env), need
-            for j in _ones(guard(env, full)):
-                local[y] = j
-                hit = body(local, pending)
-                pending = hit if want_all else pending ^ hit
-                if not pending:
-                    break
-            return pending if want_all else need ^ pending
-        return fill
 
 
 def _parts(f, kinds):
@@ -712,9 +702,9 @@ def _split_guard(f, q):
     want_all = isinstance(f, Forall)
     if want_all and not isinstance(f.body, Implies):
         return None, None, f.body
-    parts = _parts(f.body.left if want_all else f.body, And)
-    kept = [g for g in parts if q not in free_vars(g)]
-    rest = [g for g in parts if q in free_vars(g)]
+    kept, rest = [], []
+    for g in _parts(f.body.left if want_all else f.body, And):
+        (rest if q in free_vars(g) else kept).append(g)
     return (kept and functools.reduce(And, kept) or None,
             rest and functools.reduce(And, rest) or None,
             f.body.right if want_all else None)

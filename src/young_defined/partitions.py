@@ -290,8 +290,8 @@ class Universe:
         return self.index[pi]
 
     def ordinal_cutoff(self, card):
-        """Number of elements with cardinality <= card."""
-        return self._offsets[min(card, self.max_card) + 1]
+        """Number of elements with cardinality <= card (0 below 0)."""
+        return self._offsets[min(max(card, -1), self.max_card) + 1]
 
     def _check_bit_cache(self):
         """Refuse, before allocating, caches above MAX_BIT_CACHE_BYTES."""

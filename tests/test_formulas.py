@@ -409,13 +409,13 @@ def test_evaluate_constants_outside_the_universe():
 
 
 def test_outside_value_numbered_after_the_up_cache_exists():
-    compiled = F.compile_formula(F.parse('forall y (x <= y)'), Universe(6),
+    universe = Universe(6)
+    compiled = F.compile_formula(F.parse('forall y (x <= y)'), universe,
                                  F.EvalConfig(5, 1))
     assert not compiled.run({'x': p('[9]+[9]')})    # builds the up cache
-    assert compiled.up is not None
+    assert universe._up_bits is not None
     assert not compiled.run({'x': p('[20]')})       # numbered after it
     assert compiled.run({'x': EMPTY})
-    assert len(compiled.up) == len(compiled.values)
 
 
 def test_each_atom_orientation_matches_a_leq_sweep():
@@ -512,6 +512,40 @@ def test_transposed_sweep_asks_its_guard_once(monkeypatch):
         assert F.defined_set(f, 'x', universe, F.EvalConfig(11, 1)) \
             == lower_covers(c)
     assert calls == []
+
+
+def _alternating_chain(k):
+    """forall y1 (x <= y1 -> exists y2 (y1 <= y2 & ... x = x)), k deep."""
+    text = 'x = x'
+    for i in range(k, 0, -1):
+        outer = 'y%d' % (i - 1) if i > 1 else 'x'
+        shape = 'forall %s (%s <= %s -> %s)' if i % 2 else \
+            'exists %s (%s <= %s & %s)'
+        text = shape % ('y%d' % i, outer, 'y%d' % i, text)
+    return text
+
+
+def test_each_quantifier_is_compiled_for_one_orientation(monkeypatch):
+    # a quantifier swept by the transposed loop compiles no closures for
+    # the bit-by-bit sweep, and the other way round
+    compiled = []
+    closure = F._Compiled._closure
+
+    def counted(self, f, row, depth):
+        compiled.append(f)
+        return closure(self, f, row, depth)
+    monkeypatch.setattr(F._Compiled, '_closure', counted)
+
+    def closures(text):
+        compiled.clear()
+        F.defined_set(F.parse(text), 'x', UNI6, F.EvalConfig(3, 1))
+        return len(compiled)
+    assert closures('forall y (x <= y)') == 2
+    for k in range(1, 9):
+        assert closures(_alternating_chain(k)) <= 3 * k + 1, k
+    for k in range(1, 4):
+        for slack in (0, 1):
+            _agrees_with_naive(_alternating_chain(k), slack=slack)
 
 
 # --- guard shapes: forall v (G1 & ... & Gk -> psi), exists v (G1 & ... & Gk & psi)

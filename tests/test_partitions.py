@@ -278,6 +278,8 @@ def test_universe_lookup():
         assert UNI.ordinal(pi) == UNI.index[pi] == i
     assert UNI.ordinal_cutoff(4) == sum(partition_count(n) for n in range(5))
     assert UNI.ordinal_cutoff(UNI.max_card + 5) == len(UNI)
+    for card in (-1, -2, -3):
+        assert UNI.ordinal_cutoff(card) == 0
     assert parse_partition('(2,1)') in UNI
     assert len(UNI) == len(UNI.elements)
 

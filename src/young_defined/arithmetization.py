@@ -87,8 +87,9 @@ def _prime_count(x):
 
 
 def _kth_prime_after(x, k):
-    """The k-th prime above x, for x >= _SPF_LIMIT and k >= 1, by
-    sieving segments upward from x with the table's primes."""
+    """The k-th prime above x, for k >= 1, by sieving segments upward
+    from x with the table's primes; exact while the table holds every
+    prime up to the square root of each segment's end, i.e. below 10^12."""
     primes = _tables()[1]
     lo = x + 1
     while True:

@@ -300,7 +300,7 @@ def _char_add(rho, sigma, pi, exact):
     return witness.length >= sigma.card
 
 
-def char_add_sweep(rho, sigma, pi, universe, exact=True):
+def char_add_sweep(rho, sigma, pi, universe):
     """Literal sweep form of the addition characterization.
 
     Ranges the witness candidate and the membership probe over the whole
@@ -325,10 +325,7 @@ def char_add_sweep(rho, sigma, pi, universe, exact=True):
                 break
         if not good:
             continue
-        if exact:
-            if beta.length != sigma.card:
-                return False
-        elif beta.length < sigma.card:
+        if beta.length != sigma.card:
             return False
     return True
 

@@ -67,13 +67,11 @@ def _cmd_reconstruct(args):
 
 def _cmd_automorphisms(args):
     report = harness.automorphism_report(args.max_rank)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(harness.summary_line(report.to_dict()))
+    code = _print_report(report, args.json)
+    if not args.json:
         print('  found %d automorphism(s): %s'
               % (report.details['count'], ', '.join(report.details['kinds'])))
-    return 0 if report.verdict == 'pass' else 1
+    return code
 
 
 def _cmd_embed(args):

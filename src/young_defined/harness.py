@@ -31,14 +31,14 @@ class UsageError(Exception):
 class CheckReport:
     """Outcome of one certification sweep.
 
-    verdict is 'pass' (no mismatches, stable where applicable), 'fail'
-    (at least one genuine mismatch), or 'unstable' (no mismatches but a
-    truncation-sensitivity flag fired).  Boundary witnesses are expected
-    edge cases reported separately and never counted as mismatches.
+    The verdict is 'fail' when there is any mismatch, else 'unstable'
+    when the caller passes unstable=True (a truncation-sensitivity flag
+    fired), else 'pass'.  Boundary witnesses are expected edge cases
+    reported separately and never counted as mismatches.
     """
 
     def __init__(self, name, range_description, total_checked, mismatches,
-                 elapsed, verdict, boundary=None, informational=False,
+                 elapsed, unstable=False, boundary=None, informational=False,
                  details=None, note=''):
         self.name = name
         self.range_description = range_description
@@ -48,7 +48,8 @@ class CheckReport:
         self.boundary_count = len(boundary) if boundary else 0
         self.boundary_witnesses = (boundary or [])[:WITNESS_CAP]
         self.elapsed = elapsed
-        self.verdict = verdict
+        self.verdict = ('fail' if mismatches else
+                        'unstable' if unstable else 'pass')
         self.informational = informational
         self.details = details or {}
         self.note = note
@@ -99,7 +100,7 @@ def check_proposition(name, max_card):
     try:
         pair = get_pair(name)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
     return run_pair(pair, max_card)
 
 
@@ -120,12 +121,11 @@ def run_pair(pair, max_card):
                 boundary.append(entry)
             else:
                 mismatches.append(entry)
-    verdict = 'pass' if not mismatches else 'fail'
     return CheckReport(
         pair.name,
         'all registered domain tuples with cardinality <= %d (slack 0)'
         % max_card,
-        total_checked, mismatches, time.perf_counter() - start, verdict,
+        total_checked, mismatches, time.perf_counter() - start,
         boundary=boundary, informational=pair.informational, note=pair.note)
 
 
@@ -137,16 +137,13 @@ def variant_resolution(report_a, report_b):
     """
     start = time.perf_counter()
     passed = [r.name for r in (report_a, report_b) if r.mismatch_count == 0]
-    verdict = 'pass' if len(passed) == 1 else 'fail'
-    mismatches = []
-    if verdict == 'fail':
-        mismatches = [{'passing': passed}]
+    mismatches = [] if len(passed) == 1 else [{'passing': passed}]
     return CheckReport(
         'variant-resolution(%s | %s)' % (report_a.name, report_b.name),
         'derived from the two variant sweeps: %s; %s'
         % (report_a.range_description, report_b.range_description),
         report_a.total_checked + report_b.total_checked,
-        mismatches, time.perf_counter() - start, verdict,
+        mismatches, time.perf_counter() - start,
         details={'passing': passed,
                  'mismatches': {report_a.name: report_a.mismatch_count,
                                 report_b.name: report_b.mismatch_count}},
@@ -180,12 +177,13 @@ def reconstruction_check(max_card):
             if n >= 4:
                 mismatches.append({'level': n, 'groups': collided})
     level2 = collisions_by_level.get(2, [])
-    level2_ok = level2 == [[render(parse_partition('[1]+[1]')), '[2]']]
-    verdict = 'pass' if not mismatches and level2_ok else 'fail'
+    expected = [[render(parse_partition('[1]+[1]')), '[2]']]
+    if level2 != expected:
+        mismatches.append({'level': 2, 'groups': level2, 'expected': expected})
     return CheckReport(
         'reconstruction-from-lower-covers',
         'levels 0..%d; injectivity required on levels 4..%d' % (max_card, max_card),
-        len(universe), mismatches, time.perf_counter() - start, verdict,
+        len(universe), mismatches, time.perf_counter() - start,
         details={'level2Collision': level2,
                  'level3Injective': 3 not in collisions_by_level},
         note='the two partitions of 2 share the single lower cover [1]')
@@ -256,15 +254,13 @@ def automorphism_report(max_rank):
     maps = automorphism_search(max_rank)
     kinds = sorted(classify_automorphism(m) for m in maps)
     expected = ['identity'] if max_rank <= 1 else ['conjugation', 'identity']
-    verdict = 'pass' if kinds == expected else 'fail'
-    mismatches = []
-    if verdict == 'fail':
-        mismatches = [{'found': kinds, 'expected': expected}]
+    mismatches = ([] if kinds == expected
+                  else [{'found': kinds, 'expected': expected}])
     return CheckReport(
         'automorphism-uniqueness',
         'rank-preserving bijections of levels 0..%d' % max_rank,
         sum(partition_count(n) for n in range(max_rank + 1)),
-        mismatches, time.perf_counter() - start, verdict,
+        mismatches, time.perf_counter() - start,
         details={'count': len(maps), 'kinds': kinds},
         note='conjugation coincides with the identity below rank 2')
 
@@ -420,7 +416,6 @@ def embed_report(name, poset, max_card, expect_found=True):
     start = time.perf_counter()
     mapping = embed_poset(poset, max_card)
     found = mapping is not None
-    verdict = 'pass' if found == expect_found else 'fail'
     details = {'found': found}
     if found:
         details['mapping'] = {e: render(mapping[e]) for e in poset.elements}
@@ -428,12 +423,12 @@ def embed_report(name, poset, max_card, expect_found=True):
         details['statement'] = ('no embedding within cardinality <= %d; this '
                                 'does not refute embeddability in the '
                                 'unbounded order' % max_card)
-    mismatches = [] if verdict == 'pass' else [dict(details)]
+    mismatches = [] if found == expect_found else [dict(details)]
     return CheckReport(
         name, '%d elements, %d strict pairs, images of cardinality <= %d'
         % (len(poset.elements), len(poset.less), max_card),
         len(poset.elements), mismatches, time.perf_counter() - start,
-        verdict, details=details)
+        details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +495,11 @@ def corpus_report(name, text, max_card=None, slacks=(0, 1, 2, 3)):
             mismatches.append({'problem': 'disagrees with the oracle set',
                                'slack': k, 'difference': len(got ^ expected),
                                'sample': [repr(s) for s in sample]})
-    if mismatches:
-        verdict = 'fail'
-    elif flips:
-        verdict = 'unstable'
-    else:
-        verdict = 'pass'
     return CheckReport(
         'corpus-%s' % name,
         'free variables <= %d, slacks %s' % (bound, list(slacks)),
-        total_checked, mismatches, time.perf_counter() - start, verdict,
+        total_checked, mismatches, time.perf_counter() - start,
+        unstable=bool(flips),
         details={'class': got_class, 'setSizes': [len(s) for s in sets],
                  'flips': [{'value': repr(value), 'fromSlack': k0,
                             'toSlack': k1, 'wasMember': was}
@@ -561,12 +551,11 @@ def arithmetization_report(max_card, integer_ceiling, pair_card, bridge_bound):
                 if pair_mult.oracle(*args) != (m * n == r):
                     mismatches.append({'problem': 'multiplication bridge',
                                        'args': [m, n, r]})
-    verdict = 'pass' if not mismatches else 'fail'
     return CheckReport(
         'arithmetization-roundtrips',
         'partitions <= %d, integers <= %d, order pairs <= %d, bridge <= %d'
         % (max_card, integer_ceiling, pair_card, bridge_bound),
-        total_checked, mismatches, time.perf_counter() - start, verdict)
+        total_checked, mismatches, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

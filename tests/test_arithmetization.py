@@ -21,6 +21,10 @@ partitions = st.lists(st.integers(1, 9), max_size=9).map(from_parts)
 def test_nth_prime():
     assert [A.nth_prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert A.nth_prime(25) == 97
+    # the first indices above the table; Dusart's bound for 78,499 lies
+    # below the table's end, so the segment sieve starts inside it
+    assert A.nth_prime(78499) == 1000003
+    assert A.nth_prime(78500) == 1000033
     with pytest.raises(ValueError):
         A.nth_prime(0)
 

@@ -37,8 +37,19 @@ def test_reports_are_deterministic_up_to_elapsed_time():
 
 
 def test_unknown_pair_name_is_a_usage_error():
-    with pytest.raises(harness.UsageError):
+    with pytest.raises(harness.UsageError) as info:
         harness.check_proposition('prop-9.9-missing', 8)
+    assert str(info.value).startswith('unknown pair')
+
+
+def test_the_verdict_follows_from_mismatches_and_the_unstable_flag():
+    def verdict(mismatches, unstable=False):
+        return harness.CheckReport('suite', 'range', 1, mismatches, 0.0,
+                                   unstable=unstable).verdict
+    assert verdict([]) == 'pass'
+    assert verdict([], unstable=True) == 'unstable'
+    assert verdict([{'problem': 'x'}]) == 'fail'
+    assert verdict([{'problem': 'x'}], unstable=True) == 'fail'
 
 
 def test_informational_pair_reports_its_disagreements():
@@ -109,6 +120,27 @@ def test_reconstruction_reports_a_collision_above_level_3(monkeypatch):
     report = harness.reconstruction_check(6)
     assert report.verdict == 'fail'
     assert report.witnesses == [{'level': 4, 'groups': [['2[2]', '[4]']]}]
+
+
+def test_reconstruction_names_a_lost_level_2_collision(monkeypatch):
+    table = Universe.cover_table
+
+    def stripped(universe):
+        covers, offsets = table(universe)
+        bare = universe.ordinal(parse_partition('2[1]'))
+        rows = [covers[offsets[i]:offsets[i + 1]] if i != bare else []
+                for i in range(len(offsets) - 1)]
+        offsets = [0]
+        for row in rows:
+            offsets.append(offsets[-1] + len(row))
+        return [c for row in rows for c in row], offsets
+    monkeypatch.setattr(Universe, 'cover_table', stripped)
+    report = harness.reconstruction_check(6)
+    assert report.verdict == 'fail'
+    assert report.mismatch_count >= 1
+    assert report.details['level2Collision'] == []
+    assert {'level': 2, 'groups': [],
+            'expected': [['2[1]', '[2]']]} in report.witnesses
 
 
 def test_cover_suites_read_the_cover_table(monkeypatch):
@@ -300,6 +332,15 @@ def test_check_all_quick_profile():
     assert sum(s['elapsedSeconds'] for s in suites) <= wall + 0.0005 * len(suites)
 
 
+def test_check_all_fails_a_suite_exactly_when_it_counts_a_mismatch():
+    document, _ = harness.check_all('quick')
+    assert any(s['verdict'] == 'fail' for s in document['suites'])
+    for suite in document['suites']:
+        assert ((suite['verdict'] == 'fail')
+                == (suite['mismatchCount'] > 0)), suite['propositionName']
+        assert (suite['mismatchCount'] > 0) == bool(suite['witnesses'])
+
+
 def test_check_all_enumerates_each_level_once():
     enumerate_level.cache_clear()
     harness.check_all('quick')
@@ -445,3 +486,14 @@ def test_cli_reconstruct_and_automorphisms(capsys):
     assert run_cli('automorphisms', '--max-rank', '4') == 0
     out = capsys.readouterr().out
     assert 'conjugation, identity' in out
+
+
+def test_cli_automorphisms_prints_its_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(harness, 'classify_automorphism', lambda m: 'other')
+    assert run_cli('automorphisms', '--max-rank', '4') == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith('automorphism-uniqueness  ')
+    assert 'FAIL' in lines[0] and '1 mismatches' in lines[0]
+    assert lines[1] == ('  mismatch: {"expected": ["conjugation", '
+                        '"identity"], "found": ["other", "other"]}')
+    assert lines[2] == '  found 2 automorphism(s): other, other'

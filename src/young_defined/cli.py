@@ -97,6 +97,8 @@ def _cmd_eval(args):
         if not _:
             raise harness.UsageError('--assign expects VAR=PARTITION, got %r'
                                      % item)
+        if name.strip() in assignment:
+            raise harness.UsageError('--assign gives %r twice' % name.strip())
         assignment[name.strip()] = parse_partition(literal)
     universe = enumerate_universe(args.max_card + args.slack)
     config = formulas.EvalConfig(args.max_card, args.slack)

@@ -14,13 +14,13 @@ The evaluator is relational: a subformula is a bitmask row over the
 universe ordinals of one variable, connectives combine rows with & | ^
 (`a & b` and `a -> b` ask b only at the bits a left set), and an atom
 is a lookup in the universe's bit caches.  A quantified subformula is a
-row over its innermost bound free variable, memoized for each value of
-its other free variables, so it is computed once per outer value rather
-than once per assignment of all the variables around it.  It is compiled
-only for the way it runs: swept as a row (looping over y, or bit by bit)
-or looked up one value at a time.  Its guard is split once: conjuncts of
-G in `forall y (G -> psi)` or `exists y (G)` that leave the swept
-variable out are asked once per fill, the others and psi on their bits.
+row over its innermost bound free variable, kept in its own memo for
+each value of its other free variables, so it is computed once per
+outer value, not once per assignment of the variables around it.  It is
+compiled only for the way it runs: swept as a row (looping over y, or
+bit by bit) or looked up one value at a time.  Its guard is split once:
+conjuncts of G in `forall y (G -> psi)` or `exists y (G)` that leave
+the swept variable out are asked once per fill, the rest on their bits.
 """
 
 import functools
@@ -52,7 +52,8 @@ class EvalError(Exception):
 
 class Node:
     """Base class: a subclass declares only its _fields, set in order by
-    the one constructor; structural equality, which depends on the type."""
+    the one constructor, which also sets `free` (the free variable names)
+    and `height` from the children's; equality is structural, by type."""
 
     _fields = ()
 
@@ -62,23 +63,23 @@ class Node:
                 type(self).__name__, len(self._fields), len(values)))
         for name, value in zip(self._fields, values):
             setattr(self, name, value)
+        children = self.children()
+        bound = {self.var} if isinstance(self, (Exists, Forall)) else set()
+        self.free = (frozenset((self.name,)) if isinstance(self, Var) else
+                     frozenset().union(*[c.free for c in children]) - bound)
+        self.height = 1 + max([c.height for c in children], default=0)
 
     def children(self):
         """The fields that are nodes, in field order."""
         return [value for value in map(self.__getattribute__, self._fields)
                 if isinstance(value, Node)]
 
-    def key(self):
-        return (type(self).__name__,) + tuple(
-            getattr(self, f).key() if isinstance(getattr(self, f), Node)
-            else getattr(self, f)
-            for f in self._fields)
-
     def __eq__(self, other):
-        return type(self) is type(other) and self.key() == other.key()
+        return type(self) is type(other) and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((type(self), *map(self.__getattribute__, self._fields)))
 
     def __repr__(self):
         return '%s(%s)' % (type(self).__name__,
@@ -141,10 +142,7 @@ def free_vars(f):
     """The free variable names of a formula."""
     if not isinstance(f, Node):
         raise TypeError('not a formula node: %r' % (f,))
-    if isinstance(f, Var):
-        return {f.name}
-    names = set().union(*map(free_vars, f.children()))
-    return names - {f.var} if isinstance(f, (Exists, Forall)) else names
+    return f.free
 
 
 def constants_of(f):
@@ -190,16 +188,8 @@ def _line_col(text, pos):
 MAX_NESTING = 64
 
 
-def _height(f):
-    """The number of levels of a formula tree, counted without recursion."""
-    height, level = 0, [f]
-    while level:
-        height += 1
-        level = [child for node in level for child in node.children()]
-    return height
-
-
 _PRELUDE_RE = re.compile(r'\s*const\s+([A-Za-z_]\w*)\s*=\s*([^;]*);')
+_KEYWORDS = ('forall', 'exists', 'const')
 
 
 class _Parser:
@@ -311,7 +301,7 @@ class _Parser:
 
     def term(self):
         kind, val, pos = self.next()
-        if kind != 'name' or val in ('forall', 'exists', 'const'):
+        if kind != 'name' or val in _KEYWORDS:
             self.fail('expected a variable or constant name, found %r'
                       % (val if val else 'end of input'), pos)
         if val in self.constants:
@@ -329,6 +319,10 @@ def parse(text):
         if not match:
             break
         name, literal = match.group(1), match.group(2)
+        if name in _KEYWORDS or name in table:
+            line, col = _line_col(stripped, match.start(1))
+            problem = 'a keyword' if name in _KEYWORDS else 'declared twice'
+            raise ParseError('%r is %s' % (name, problem), line, col)
         try:
             table[name] = parse_partition(literal)
         except ValueError as exc:
@@ -342,7 +336,7 @@ def parse(text):
     kind, val, at = parser.peek()
     if kind is not None:
         parser.fail('unexpected trailing %r' % val, at)
-    if _height(formula) > MAX_NESTING:
+    if formula.height > MAX_NESTING:
         raise ParseError('formula nested deeper than %d levels' % MAX_NESTING)
     return formula
 
@@ -459,16 +453,6 @@ class EvalConfig:
         return 'EvalConfig(max_card=%d, slack=%d)' % (self.max_card, self.slack)
 
 
-def _rename(f, old, new):
-    """f with its free occurrences of the variable old renamed to new."""
-    if isinstance(f, Var):
-        return Var(new) if f.name == old else f
-    if isinstance(f, Const) or isinstance(f, (Exists, Forall)) and f.var == old:
-        return f    # a constant, or old is bound (shadowed) from here down
-    return type(f)(*[_rename(child, old, new) if isinstance(child, Node)
-                     else child for child in map(f.__getattribute__, f._fields)])
-
-
 def _ones(mask):
     """The positions of the set bits of mask, lowest first."""
     digits = bin(mask)[:1:-1]
@@ -485,22 +469,19 @@ class _Compiled:
     partition (a constant, or an assigned value outside the universe) a
     position after them.  Compiled for a row variable r, a subformula is
     a closure (env, care) -> the bits i of care at which it holds with
-    r = i, env mapping the other variables in scope to ordinals.  The
-    rows of quantified subformulas are kept in self.rows under the node
-    with its row variable renamed to '#', so alpha-equivalent
-    occurrences share them.
+    r = i, env mapping the other variables in scope to ordinals.  Each
+    compiled quantifier keeps the rows it fills in its own closure.
     """
 
     def __init__(self, formula, universe, cutoff):
         self.formula = formula
-        self.free = free_vars(formula)
+        self.free = formula.free
         self.universe = universe
         self.full = (1 << cutoff) - 1
         self.values = list(universe.elements)
         self.down = list(universe.down_bits())
         self.up_masks = {}      # constant ordinal -> its full-width up mask
         self.outside = {}
-        self.rows = {}
         self.scalar = None      # the run() entry, compiled on first use
 
     def ordinal(self, value):
@@ -617,15 +598,14 @@ class _Compiled:
     def _quantifier(self, f, row, depth):
         inner = dict(depth)
         inner[f.var] = max(depth.values(), default=-1) + 1
-        free = free_vars(f)
-        q = max(free, key=depth.__getitem__, default=None)
+        q = max(f.free, key=depth.__getitem__, default=None)
         kept, rest, then = _split_guard(f, q)
         y, full, want_all = f.var, self.full, isinstance(f, Forall)
         transposed = q is not None and q == row and _transposes(f, q)
         guard = (self._closure(kept, y, inner) if kept
                  else lambda env, care: care)
-        rows = self.rows.setdefault(_rename(f, q, '#'), {})
-        others = sorted(free - {q})
+        rows = {}   # other free variables' ordinals -> (bits known, bits true)
+        others = sorted(f.free - {q})
         key = operator.itemgetter(*others) if others else (lambda env: ())
 
         def memo(env, want, fill):
@@ -704,7 +684,7 @@ def _split_guard(f, q):
         return None, None, f.body
     kept, rest = [], []
     for g in _parts(f.body.left if want_all else f.body, And):
-        (rest if q in free_vars(g) else kept).append(g)
+        (rest if q in g.free else kept).append(g)
     return (kept and functools.reduce(And, kept) or None,
             rest and functools.reduce(And, rest) or None,
             f.body.right if want_all else None)
@@ -716,7 +696,7 @@ def _transposes(f, q):
     q free (its row would be keyed on q, which is not in env there)."""
     direct, y = _parts(f.body, (Not, And, Or, Implies, Iff)), Var(f.var)
     return (Leq(Var(q), y) in direct and Leq(y, Var(q)) not in direct
-            and not any(isinstance(g, (Exists, Forall)) and q in free_vars(g)
+            and not any(isinstance(g, (Exists, Forall)) and q in g.free
                         for g in direct))
 
 
@@ -743,7 +723,7 @@ def defined_relation(f, free_var_names, universe, config):
     """All tuples over cardinality <= maxCard satisfying the formula, one
     coordinate per name; the names are its free variables, each named
     once.  The sweep order is the universe order on every coordinate."""
-    names = sorted(free_vars(f))
+    names = sorted(f.free)
     if names != sorted(free_var_names):
         raise EvalError('free variables %s do not match %s, each named once'
                         % (names, list(free_var_names)))

@@ -434,6 +434,9 @@ def embed_report(name, poset, max_card, expect_found=True):
 # ---------------------------------------------------------------------------
 # formula corpus suite
 
+CORPUS_SLACKS = (0, 1, 2, 3)    # the quick profile keeps only 0 and 1
+
+
 def _corpus_header(text):
     """The class and the standard bound a corpus file declares on its
     `# class: NAME` and `# bound: N` lines, each required exactly once."""
@@ -466,7 +469,7 @@ def _corpus_expectation(name, universe, max_card):
     raise UsageError('no expectation registered for corpus file %r' % name)
 
 
-def corpus_report(name, text, max_card=None, slacks=(0, 1, 2, 3)):
+def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
     """Roundtrip, classification, oracle agreement and slack stability
     for one bundled formula file; the class and, unless max_card is
     given, the bound come from the file's header lines."""
@@ -604,7 +607,7 @@ def check_all(profile):
     for name, text in sorted(formulas.corpus().items()):
         bound = _profile_bound(_corpus_header(text)[1], profile, 6)
         reports.append(corpus_report(name, text, max_card=bound,
-                                     slacks=(0, 1) if quick else (0, 1, 2, 3)))
+                                     slacks=(0, 1) if quick else CORPUS_SLACKS))
     reports.append(embed_report('embed-chain-5', FinitePoset.chain(5),
                                 4 if quick else 6))
     reports.append(embed_report('embed-antichain-5', FinitePoset.antichain(5),

@@ -79,6 +79,20 @@ def test_parse_errors_carry_positions():
         F.parse("const c = [1];\nforall c (c <= x)")
 
 
+@pytest.mark.parametrize('text, message, line, col', [
+    ('const c = [1];\nconst c = [2];\nc <= x', "'c' is declared twice", 2, 7),
+    ('const forall = [1];\nx <= x', "'forall' is a keyword", 1, 7),
+    ('const exists = [1];\nx <= x', "'exists' is a keyword", 1, 7),
+    ('const c = [1];\n  const  const = [1];\nx <= x', "'const' is a keyword",
+     2, 10),
+])
+def test_prelude_refuses_a_second_declaration_or_a_keyword(text, message,
+                                                           line, col):
+    with pytest.raises(F.ParseError, match=message) as info:
+        F.parse(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 @pytest.mark.parametrize('text', [
     '(' * 3000 + 'x <= x' + ')' * 3000,
     '!' * 3000 + 'x <= x',
@@ -94,7 +108,7 @@ def test_parse_refuses_deep_nesting(text):
 def test_nesting_up_to_the_limit_parses_and_evaluates():
     depth = F.MAX_NESTING - 2        # the innermost atom and its terms
     f = F.parse('forall y (' * depth + 'x <= y' + ')' * depth)
-    assert F._height(f) == F.MAX_NESTING
+    assert f.height == F.MAX_NESTING
     assert F.defined_set(f, 'x', UNI6, F.EvalConfig(3)) == {EMPTY}
     assert F.parse('(' * F.MAX_NESTING + 'x <= x' + ')' * F.MAX_NESTING) \
         == F.parse('x <= x')
@@ -154,6 +168,28 @@ def test_node_shape():
             make(*values)
     with pytest.raises(TypeError):
         F.free_vars('x')
+
+
+def _free_walk(f):
+    if isinstance(f, F.Var):
+        return {f.name}
+    names = set().union(*map(_free_walk, f.children()))
+    return names - {f.var} if isinstance(f, (F.Exists, F.Forall)) else names
+
+
+def _height_walk(f):
+    return 1 + max(map(_height_walk, f.children()), default=0)
+
+
+@given(formula_trees)
+def test_each_node_records_its_free_variables_and_height(f):
+    nodes = [f]
+    for node in nodes:      # grows as the walk goes: every node of f
+        assert node.free == _free_walk(node)
+        assert isinstance(node.free, frozenset)
+        assert node.height == _height_walk(node)
+        nodes.extend(node.children())
+    assert F.free_vars(f) == f.free
 
 
 def test_print_minimal_parentheses():
@@ -352,9 +388,10 @@ def test_shadowed_bound_variable():
 
 
 def test_alpha_equivalent_subformulas():
-    # the two cover tests of rectangular.fol are one row up to renaming;
-    # then one cover test with its free variables in three roles; then
-    # two foralls of one shape with the row variable on opposite sides
+    # the two cover tests of rectangular.fol, alike but for the names of
+    # their free variables, each filling rows of its own; then one cover
+    # test with its free variables in three roles; then two foralls of
+    # one shape with the row variable on opposite sides
     cover = "({0} <= {1} & {0} != {1} & forall w ({0} <= w & w <= {1} -> w = {0} | w = {1}))"
     _agrees_with_naive("forall y (forall z (%s & %s -> y = z))"
                        % (cover.format('y', 'x'), cover.format('z', 'x')))
@@ -527,22 +564,31 @@ def _alternating_chain(k):
 
 def test_each_quantifier_is_compiled_for_one_orientation(monkeypatch):
     # a quantifier swept by the transposed loop compiles no closures for
-    # the bit-by-bit sweep, and the other way round
-    compiled = []
-    closure = F._Compiled._closure
+    # the bit-by-bit sweep, and the other way round; and compiling builds
+    # only the few nodes of its guard splits, not renamed subtree copies
+    compiled, built = [], []
+    closure, construct = F._Compiled._closure, F.Node.__init__
 
     def counted(self, f, row, depth):
         compiled.append(f)
         return closure(self, f, row, depth)
     monkeypatch.setattr(F._Compiled, '_closure', counted)
 
+    def constructed(self, *values):
+        built.append(type(self))
+        construct(self, *values)
+    monkeypatch.setattr(F.Node, '__init__', constructed)
+
     def closures(text):
+        f = F.parse(text)
         compiled.clear()
-        F.defined_set(F.parse(text), 'x', UNI6, F.EvalConfig(3, 1))
+        built.clear()
+        F.defined_set(f, 'x', UNI6, F.EvalConfig(3, 1))
         return len(compiled)
     assert closures('forall y (x <= y)') == 2
     for k in range(1, 9):
         assert closures(_alternating_chain(k)) <= 3 * k + 1, k
+        assert len(built) <= 4 * k + 4, k
     for k in range(1, 4):
         for slack in (0, 1):
             _agrees_with_naive(_alternating_chain(k), slack=slack)

@@ -419,6 +419,10 @@ def test_cli_eval(tmp_path, capsys):
     assert 'value: False' in capsys.readouterr().out
     assert run_cli('eval', '--formula', str(path), '--assign', 'x:[3]',
                    '--max-card', '6') == 2
+    capsys.readouterr()
+    assert run_cli('eval', '--formula', str(path), '--assign', 'x=[1]',
+                   '--assign', 'x = [2]', '--max-card', '6') == 2
+    assert "--assign gives 'x' twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize('text', ['(' * 3000 + 'x <= x' + ')' * 3000,

@@ -278,7 +278,7 @@ class _Parser:
         if val in ('forall', 'exists'):
             self.next()
             name_kind, name, name_pos = self.next()
-            if name_kind != 'name' or name in ('forall', 'exists'):
+            if name_kind != 'name' or name in _KEYWORDS:
                 self.fail('expected a variable name after %r' % val, name_pos)
             if name in self.constants:
                 self.fail('%r is a declared constant, not a variable' % name, name_pos)

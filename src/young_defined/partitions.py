@@ -7,7 +7,9 @@ The containment order, covers, conjugation, grading and bounded
 enumeration all live here; everything downstream builds on them.
 """
 
+import bisect
 import functools
+import itertools
 import re
 from array import array
 
@@ -56,7 +58,7 @@ class Partition:
         card = length = 0
         previous = None
         for n, m in runs:
-            if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+            if type(n) is not int or type(m) is not int or n < 1 or m < 1:
                 raise PartitionError('bad run (%r,%r): need positive integers' % (n, m))
             if previous is not None and n >= previous:
                 raise PartitionError('run sizes must strictly decrease')
@@ -107,7 +109,7 @@ def from_parts(parts):
     """Build the canonical partition from any iterable of positive parts."""
     counts = {}
     for p in parts:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise PartitionError('parts must be positive integers, got %r' % (p,))
         counts[p] = counts.get(p, 0) + 1
     return Partition(sorted(counts.items(), reverse=True))
@@ -225,25 +227,33 @@ def join(sigma, pi):
     return from_parts(max(x, y) for x, y in zip(a, b))
 
 
-def _level_runs(n, cap, head=()):
-    """Yield head extended by the run tuples of each partition of n with
-    parts <= cap, largest first: sizes descend, and for each size the
-    multiplicities."""
-    if n == 0:
-        yield head
-        return
-    for size in range(min(n, cap), 0, -1):
-        for mult in range(n // size, 0, -1):
-            yield from _level_runs(n - size * mult, size - 1,
-                                   head + ((size, mult),))
+def _blocks(n):
+    """The first runs (s, m) of the partitions of n in level order, with
+    r = n - s*m; (1, n) is the only one of size 1."""
+    for s in range(n, 0, -1):
+        for m in range(n // s, 0, -1) if s > 1 else (n,):
+            yield s, m, n - s * m
+
+
+def _suffix(level, s):
+    """The partitions of a level with every part < s: levels are ordered
+    largest part first, so they are a suffix."""
+    return level[bisect.bisect_left(level, 1 - s, key=lambda pi: -pi.largest):]
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def enumerate_level(n):
     """All partitions of n, in reverse-lexicographic (largest-first) order,
     as a tuple built once per process and shared by every universe (typed,
-    so 2.0 is never served the cached answer for 2 and is still refused)."""
-    return tuple(map(Partition, _level_runs(n, n)))
+    so 2.0 is never served the cached answer for 2 and is still refused).
+
+    Level n is one block per first run (s, m) of _blocks: (s, m) + t for
+    each t of level r = n - s*m with every part < s, in level r's order.
+    """
+    if n == 0:
+        return (Partition(()),)
+    return tuple(Partition(((s, m),) + t.runs) for s, m, r in _blocks(n)
+                 for t in _suffix(enumerate_level(r), s))
 
 
 class Universe:
@@ -263,15 +273,11 @@ class Universe:
                                 % (max_card, MAX_ENUMERATION_CARD))
         self.max_card = max_card
         self.levels = [enumerate_level(n) for n in range(max_card + 1)]
-        self.index = {}
-        self.elements = []
-        self._offsets = []   # ordinal of the first element of each level
-        for level in self.levels:
-            self._offsets.append(len(self.elements))
-            for pi in level:
-                self.index[pi] = len(self.elements)
-                self.elements.append(pi)
-        self._offsets.append(len(self.elements))
+        self.elements = [pi for level in self.levels for pi in level]
+        self.index = dict(zip(self.elements, range(len(self.elements))))
+        # ordinal of the first element of each level, then the total
+        self._offsets = list(itertools.accumulate(map(len, self.levels),
+                                                  initial=0))
         self._covers = None
         self._down_bits = None
         self._up_bits = None
@@ -303,14 +309,57 @@ class Universe:
 
     def cover_table(self):
         """The lower covers of every element as one flat array of ordinals,
-        those of ordinal i at covers[offsets[i]:offsets[i + 1]]."""
+        those of ordinal i at covers[offsets[i]:offsets[i + 1]], in the
+        order of _lower_cover_runs.
+
+        Built by arithmetic on enumerate_level's blocks, from the rows of
+        the levels below.  For e = (s, m) + t, t in level r = n - s*m:
+        - the tail covers (s, m) + t', t' a lower cover of t, stay in block
+          (s, m) of level n - 1: they are t's row plus a constant;
+        - the head cover is the last element of level n - 1 if s = 1.  Else,
+          with t = (s-1, k) + t2 (k = 0 if t has no part s - 1), it is
+          u = (s-1, k+1) + t2 if m = 1 and (s, m-1) + u if m > 1: t's
+          ordinal plus a constant for each k.
+        """
         if self._covers is None:
-            covers, offsets, below = array('i'), array('i', [0]), {}
-            for level, start in zip(self.levels, self._offsets):
-                for pi in level:
-                    covers.extend(below[r] for r in _lower_cover_runs(pi.runs))
-                    offsets.append(len(covers))
-                below = {pi.runs: start + k for k, pi in enumerate(level)}
+            covers, offsets = array('i'), array('i', [0, 0])
+            off, starts = self._offsets, [None]
+
+            def start(n, s, m):
+                """Index in level n of block (s, m); block (s, 0) is the
+                partitions of n with every part < s."""
+                return starts[n][s][m] if s <= n else 0
+
+            for n in range(1, self.max_card + 1):
+                level, pos = [None] * (n + 1), 0
+                for s in range(n, 0, -1):
+                    level[s] = row = [0] * (n // s + 1)
+                    for m in range(n // s, 0, -1):
+                        r = n - s * m
+                        row[m] = pos
+                        pos += off[r + 1] - off[r] - start(r, s, 0)
+                    row[0] = pos
+                starts.append(level)
+                for s, m, r in _blocks(n):
+                    if s == 1:
+                        covers.append(off[n] - 1)
+                        offsets.append(len(covers))
+                        continue
+                    tail = (off[n - 1] + start(n - 1, s, m) - off[r - 1]
+                            - start(r - 1, s, 0)) if r else 0
+                    head = (off[n - 1] + start(n - 1, s, m - 1) - off[r]
+                            - start(r + s - 1, s, 0))
+                    for k in range(r // (s - 1), -1, -1):
+                        lo = off[r] + start(r, s - 1, k)
+                        hi = (off[r] + start(r, s - 1, k - 1) if k
+                              else off[r + 1])
+                        shift = (head + start(r + s - 1, s - 1, k + 1)
+                                 - start(r, s - 1, k))
+                        for g in range(lo, hi):
+                            covers.append(g + shift)
+                            covers.extend([x + tail for x in
+                                           covers[offsets[g]:offsets[g + 1]]])
+                            offsets.append(len(covers))
             self._covers = covers, offsets
         return self._covers
 

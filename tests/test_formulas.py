@@ -93,6 +93,14 @@ def test_prelude_refuses_a_second_declaration_or_a_keyword(text, message,
     assert (info.value.line, info.value.col) == (line, col)
 
 
+@pytest.mark.parametrize('keyword', ['forall', 'exists', 'const'])
+def test_a_keyword_is_not_a_bound_variable(keyword):
+    with pytest.raises(F.ParseError,
+                       match="expected a variable name after 'exists'") as info:
+        F.parse('exists  %s (x = x)' % keyword)
+    assert (info.value.line, info.value.col) == (1, 9)
+
+
 @pytest.mark.parametrize('text', [
     '(' * 3000 + 'x <= x' + ')' * 3000,
     '!' * 3000 + 'x <= x',

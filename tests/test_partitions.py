@@ -3,11 +3,13 @@ lattice operations, enumeration, and the text forms."""
 
 import sys
 import types
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from young_defined import partitions as P
 from young_defined.partitions import (EMPTY, MAX_BIT_CACHE_BYTES,
                                       MAX_ENUMERATION_CARD, Partition,
                                       PartitionError, ResourceLimit, Universe,
@@ -59,6 +61,15 @@ def test_runs_validation():
         assert pi == expected
         assert (pi.card, pi.length, pi.largest) == (7, 3, 3)
         assert hash(pi) == hash(expected)
+
+
+def test_bool_parts_are_refused():
+    # bool is an int subclass; True is not the part 1
+    for runs in [((True, 1),), ((1, True),), ((3, 1), (False, 1))]:
+        with pytest.raises(PartitionError, match='need positive integers'):
+            Partition(runs)
+    with pytest.raises(PartitionError, match='parts must be positive'):
+        from_parts([True, 2])
 
 
 def test_from_parts_sorts_and_groups():
@@ -249,7 +260,7 @@ def _descending_part_tuples(n, cap):
 def test_level_order_matches_sorted_part_tuples():
     """The run-length enumerator against a plain part-tuple generator,
     sorted into reverse-lexicographic order independently."""
-    for n in range(21):
+    for n in range(26):
         want = [from_parts(t) for t in
                 sorted(_descending_part_tuples(n, n), reverse=True)]
         assert list(enumerate_level(n)) == want
@@ -285,12 +296,54 @@ def test_universe_lookup():
 
 
 def test_cover_table_matches_lower_covers():
-    covers, offsets = UNI.cover_table()
-    assert len(offsets) == len(UNI) + 1
-    for i, pi in enumerate(UNI.elements):
-        table = [UNI.elements[j] for j in covers[offsets[i]:offsets[i + 1]]]
-        assert len(table) == len(set(table))
-        assert set(table) == lower_covers(pi)
+    for universe in (UNI, Universe(22)):
+        covers, offsets = universe.cover_table()
+        assert len(offsets) == len(universe) + 1
+        for i, pi in enumerate(universe.elements):
+            table = [universe.elements[j]
+                     for j in covers[offsets[i]:offsets[i + 1]]]
+            assert len(table) == len(set(table))
+            assert set(table) == lower_covers(pi)
+
+
+def _cover_table_by_lookup(universe):
+    """The cover table built the direct way: every lower cover's run tuple
+    looked up among the run tuples of the level below."""
+    covers, offsets, below = array('i'), array('i', [0]), {}
+    for level in universe.levels:
+        for pi in level:
+            covers.extend(below[r] for r in P._lower_cover_runs(pi.runs))
+            offsets.append(len(covers))
+        below = {pi.runs: universe.ordinal(pi) for pi in level}
+    return covers, offsets
+
+
+def test_cover_table_is_the_direct_lookup_table():
+    universe = Universe(30)
+    covers, offsets = universe.cover_table()
+    assert (covers, offsets) == _cover_table_by_lookup(universe)
+    assert len(covers) == sum(len(pi.runs) for pi in universe)
+
+
+def test_each_level_is_built_from_the_levels_below_once():
+    enumerate_level.cache_clear()
+    assert len(enumerate_level(30)) == partition_count(30)
+    # a first run (s, m) leaves n - s*m, at most n - 2 when s >= 2 and 0
+    # for (1, n), so level 30 reads levels 0..28, each built once
+    assert enumerate_level.cache_info().misses == 30
+    enumerate_level(29)
+    assert enumerate_level.cache_info().misses == 31      # levels 0..30
+
+
+def test_cover_table_does_not_derive_covers_from_run_tuples(monkeypatch):
+    def refuse(runs):
+        raise AssertionError('the cover table derived a run tuple')
+    monkeypatch.setattr(P, '_lower_cover_runs', refuse)
+    universe = Universe(12)
+    covers, offsets = universe.cover_table()
+    assert len(offsets) == len(universe) + 1
+    with pytest.raises(AssertionError):
+        lower_covers(parse_partition('(2,1)'))   # the patch is in force
 
 
 def test_universe_bit_caches_agree_with_leq():

@@ -21,6 +21,8 @@ compiled only for the way it runs: swept as a row (looping over y, or
 bit by bit) or looked up one value at a time.  Its guard is split once:
 conjuncts of G in `forall y (G -> psi)` or `exists y (G)` that leave
 the swept variable out are asked once per fill, the rest on their bits.
+When the rest is `y <= q` and psi's disjuncts but `y = q` leave q out,
+they too are asked once per fill, and each q costs one down-mask AND.
 """
 
 import functools
@@ -444,8 +446,8 @@ class EvalConfig:
     """Quantifier truncation: quantifiers range over cardinality <= maxCard + slack."""
 
     def __init__(self, max_card, slack=0):
-        if max_card < 0 or slack < 0:
-            raise ValueError('maxCard and slack must be non-negative')
+        if not all(type(v) is int and v >= 0 for v in (max_card, slack)):
+            raise ValueError('maxCard and slack must be non-negative integers')
         self.max_card = max_card
         self.slack = slack
 
@@ -601,7 +603,7 @@ class _Compiled:
         q = max(f.free, key=depth.__getitem__, default=None)
         kept, rest, then = _split_guard(f, q)
         y, full, want_all = f.var, self.full, isinstance(f, Forall)
-        transposed = q is not None and q == row and _transposes(f, q)
+        swept = q is not None and q == row
         guard = (self._closure(kept, y, inner) if kept
                  else lambda env, care: care)
         rows = {}   # other free variables' ordinals -> (bits known, bits true)
@@ -618,7 +620,7 @@ class _Compiled:
                 rows[k] = (known | need, true)
             return true
 
-        if transposed:
+        if swept and _transposes(f, q):
             # y runs over guard, the row of kept, while bits are pending:
             # still true (forall), or not yet witnessed (exists).  The rest
             # of phi, rest -> then for forall, rest for exists, has row q
@@ -637,6 +639,20 @@ class _Compiled:
                 return pending if want_all else need ^ pending
             return lambda env, care: memo(env, care, fill) & care
 
+        if below := swept and _below(f, rest, then, q):    # rest is y <= q
+            fixed, diagonal = below
+            asks, down = [self._closure(g, y, inner) for g in fixed], self.down
+
+            def fill(env, need):
+                # bad: kept's y where no fixed disjunct holds; forall wants
+                # down[q] & bad in {0, bit q if y = q}, exists anything but 0
+                bad = guard(env, full)
+                for ask in asks:
+                    bad ^= ask(env, bad) if bad else 0
+                return sum(1 << i for i in _ones(need)
+                           if (down[i] & bad in (0, diagonal << i)) == want_all)
+            return lambda env, care: memo(env, care, fill) & care
+
         rest_row = (self._closure(rest, y, inner) if rest
                     else lambda env, care: care)
         then_row = then and self._closure(then, y, inner)
@@ -648,7 +664,7 @@ class _Compiled:
                 return not hit or then_row(env, hit) == hit
             return hit != 0
 
-        if q is not None and q == row:
+        if swept:
             def fill(env, need):    # kept leaves q out: asked once, not per bit
                 local, base, true = dict(env), guard(env, full), 0
                 for i in _ones(need):
@@ -690,12 +706,36 @@ def _split_guard(f, q):
             f.body.right if want_all else None)
 
 
+def _is_atom(g, kind, a, b):
+    """Whether g is the atom kind(Var(a), Var(b))."""
+    return (type(g) is kind and isinstance(g.left, Var) and g.left.name == a
+            and isinstance(g.right, Var) and g.right.name == b)
+
+
+def _below(f, rest, then, q):
+    """(psi's disjuncts leaving q out, whether one is y = q or q = y) for f =
+    forall y (K & y <= q -> psi) swept over q, None if another disjunct
+    keeps q; ([], False) for exists y (K & y <= q); None for any other f."""
+    y, fixed, diagonal = f.var, [], False
+    if not _is_atom(rest, Leq, y, q):
+        return None
+    for g in _parts(then, Or) if then else ():
+        if q not in g.free:
+            fixed.append(g)
+        elif _is_atom(g, Eq, y, q) or _is_atom(g, Eq, q, y):
+            diagonal = True
+        else:
+            return None
+    return fixed, diagonal
+
+
 def _transposes(f, q):
     """Whether f = Q y phi, swept as a row over q, loops over y instead:
     phi has an atom q <= y, no y <= q, and no quantified subformula with
     q free (its row would be keyed on q, which is not in env there)."""
-    direct, y = _parts(f.body, (Not, And, Or, Implies, Iff)), Var(f.var)
-    return (Leq(Var(q), y) in direct and Leq(y, Var(q)) not in direct
+    direct, y = _parts(f.body, (Not, And, Or, Implies, Iff)), f.var
+    return (any(_is_atom(g, Leq, q, y) for g in direct)
+            and not any(_is_atom(g, Leq, y, q) for g in direct)
             and not any(isinstance(g, (Exists, Forall)) and q in g.free
                         for g in direct))
 

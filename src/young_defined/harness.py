@@ -473,6 +473,8 @@ def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
     """Roundtrip, classification, oracle agreement and slack stability
     for one bundled formula file; the class and, unless max_card is
     given, the bound come from the file's header lines."""
+    if not slacks:
+        raise formulas.EvalError('empty slack schedule')
     start = time.perf_counter()
     want_class, bound = _corpus_header(text)
     if max_card is not None:

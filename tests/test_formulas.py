@@ -711,6 +711,102 @@ def test_row_sweep_asks_its_fixed_conjuncts_once(monkeypatch):
     assert universe._up_bits is None
 
 
+# --- quantifiers bounded below the swept variable:
+# forall z (K & z <= x -> A | z = x) and exists z (K & z <= x)
+
+def _below(f):
+    """The down-mask sweep's reading of f swept over x, None if it has none."""
+    _, rest, then = F._split_guard(f, 'x')
+    return F._below(f, rest, then, 'x')
+
+
+_fixed_disjuncts = st.recursive(_leaving_x_out, lambda children: st.one_of(
+    children.map(F.Not),
+    st.builds(lambda kind, a, b: kind(a, b),
+              st.sampled_from([F.And, F.Or, F.Implies]), children, children)),
+    max_leaves=3)
+_diagonals = st.sampled_from([None, F.Eq(F.Var('z'), F.Var('x')),
+                              F.Eq(F.Var('x'), F.Var('z'))])
+
+
+@st.composite
+def quantifiers_below_x(draw):
+    conjuncts = draw(st.permutations(
+        draw(st.lists(_leaving_x_out, max_size=3))
+        + [F.Leq(F.Var('z'), F.Var('x'))]))
+    guard = functools.reduce(F.And, conjuncts)
+    if draw(st.booleans()):
+        return F.Exists('z', guard)
+    diagonal = draw(_diagonals)
+    disjuncts = draw(st.lists(_fixed_disjuncts, min_size=0 if diagonal else 1,
+                              max_size=2))
+    if diagonal:
+        disjuncts.insert(draw(st.integers(0, len(disjuncts))), diagonal)
+    return F.Forall('z', F.Implies(guard, functools.reduce(F.Or, disjuncts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantifiers_below_x())
+def test_quantifiers_bounded_below_x_agree_with_naive(f):
+    assert _below(f) is not None
+    for slack in range(3):
+        _agrees_with_naive(F.print_file(f), slack=slack)
+
+
+@pytest.mark.parametrize('text, swept', [
+    # no y of K escapes the fixed disjuncts (bad == 0), or K is empty
+    ('const c = [2]+[1];\nforall z (c <= z & z <= x -> c <= z)', True),
+    ('forall z (z <= x -> z = z | z = x)', True),
+    ('const c = [2]+[1];\nforall z (z <= c & c <= z & z != c & z <= x -> z = x)',
+     True),
+    ('const c = [2]+[1];\nexists z (z <= c & c <= z & z != c & z <= x)', True),
+    # a conclusion that leaves x out entirely, and the diagonal alone
+    (F.corpus()['triviality'], True),
+    ('const c = [1];\nforall z (c <= z & z <= x -> x = z)', True),
+    ('const c = [1];\nexists z (c != z & z <= x)', True),
+    # a disjunct that keeps x but is not the diagonal takes the old path
+    ('const c = [1];\nforall z (c <= z & z <= x -> z = c | z != x)', False),
+    ('const c = [2];\nforall z (z <= x -> z = x | x <= c)', False),
+    ('forall z (z <= x -> z = x | exists y (y <= x & z != y))', False),
+    # so does any other guard that keeps x, or x <= z as the bound
+    ('exists z (z <= x & z != x)', False),
+    ('const c = [1];\nforall z (z <= x | c <= z -> z = x)', False),
+    ('const c = [1]+[1];\nforall z (x <= z & z <= c -> z = x | z = c)', False),
+    ('const c = [1]+[1];\nexists z (x <= z & z <= c)', False),
+])
+def test_down_sweep_edge_cases_agree_with_naive(text, swept):
+    assert (_below(F.parse(text)) is not None) == swept
+    for slack in range(3):
+        _agrees_with_naive(text, slack=slack)
+
+
+def test_down_sweep_runs_no_closure_per_candidate(monkeypatch):
+    # z = c leaves x out, so the upper-cover sweep asks it once per fill;
+    # each x then costs one down-mask AND, and no closure runs for it
+    c = p('[2]+[1]')
+    watched = F.Eq(F.Var('z'), F.Const('c', c))
+    counts = {'asked': 0, 'closure': 0}
+    closure = F._Compiled._closure
+
+    def compile_counted(self, f, *args):
+        compiled = closure(self, f, *args)
+
+        def counted(env, care):
+            counts['closure'] += 1
+            counts['asked'] += f == watched
+            return compiled(env, care)
+        return counted
+    monkeypatch.setattr(F._Compiled, '_closure', compile_counted)
+    universe = Universe(12)
+    f = F.parse(UPPER_COVER % render(c))
+    candidates = sum(1 for x in universe.elements if leq(c, x) and x.card <= 11)
+    assert F.defined_set(f, 'x', universe, F.EvalConfig(11, 1)) \
+        == upper_covers(c, universe)
+    assert counts['asked'] == 1
+    assert candidates > 100 and counts['closure'] <= len(list(_walk(f)))
+    assert universe._up_bits is None
+
+
 # --- conjugation: an automorphism of every truncation, at every slack
 
 def _conjugated(f):
@@ -757,6 +853,14 @@ def test_evaluate_error_paths():
         F.evaluate(f, {'x': p('[1]'), 'y': p('[2]')}, UNI6, F.EvalConfig(6, 1))
     with pytest.raises(ValueError):
         F.EvalConfig(-1)
+
+
+@pytest.mark.parametrize('max_card, slack', [
+    (2.0, 0), (2, 0.5), (True, 0), (2, False), ('2', 0), (None, 0)])
+def test_eval_config_refuses_what_is_not_an_int(max_card, slack):
+    # a float would fail deep inside ordinal_cutoff, and True would mean 1
+    with pytest.raises(ValueError, match='non-negative integers'):
+        F.EvalConfig(max_card, slack)
 
 
 def test_defined_set_matches_oracles():

@@ -284,6 +284,12 @@ def test_corpus_report_catches_a_swapped_formula():
     assert 'disagrees with the oracle set' in problems
 
 
+def test_corpus_report_refuses_an_empty_slack_schedule():
+    # refused before the universe is sized from the largest slack
+    with pytest.raises(formulas.EvalError, match='empty slack schedule'):
+        harness.corpus_report('cover', formulas.corpus()['cover'], slacks=())
+
+
 def test_each_corpus_file_declares_its_class_and_bound():
     for name, text in formulas.corpus().items():
         lines = text.splitlines()

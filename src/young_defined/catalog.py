@@ -125,14 +125,14 @@ def char_length_equals(rho, pi):
 
 def bounded_part(rho, pi):
     """Oracle: every part of pi has at most |rho| boxes (rho = [n])."""
-    if not (is_total(rho) and rho.card >= 1):
+    if rho.length != 1:
         raise DomainError('rho must be a nonempty total partition')
     return pi.largest <= rho.card
 
 
 def char_bounded_part(rho, pi):
     """All parts have size <= n iff [n+1] does not fit inside pi."""
-    if not (is_total(rho) and rho.card >= 1):
+    if rho.length != 1:
         raise DomainError('rho must be a nonempty total partition')
     return not leq(total(rho.card + 1), pi)
 
@@ -141,7 +141,12 @@ def max_rectangular_below(n, pi):
     """The largest m with m[n] <= pi: total multiplicity of parts >= n."""
     if n < 1:
         raise DomainError('need n >= 1')
-    return sum(m for size, m in pi.runs if size >= n)
+    rows = 0
+    for size, m in pi.runs:
+        if size < n:
+            break
+        rows += m
+    return rows
 
 
 def rectangular_triple(rho, sigma, pi):
@@ -158,7 +163,7 @@ def char_rectangular_triple(rho, sigma, pi):
 
 
 def _check_rect_triple_domain(rho, sigma):
-    if not (is_total(rho) and rho.card >= 1):
+    if rho.length != 1:
         raise DomainError('rho must be a nonempty total partition')
     if not (is_trivial(sigma) and sigma.card >= 1):
         raise DomainError('sigma must be a nonempty trivial partition')
@@ -197,7 +202,7 @@ def _char_part_of(rho, pi, final_fits):
 
 
 def _check_part_of_domain(rho):
-    if not (is_total(rho) and rho.card >= 1):
+    if rho.length != 1:
         raise DomainError('rho must be a nonempty total partition')
 
 
@@ -367,9 +372,15 @@ def _char_frequency(rho, sigma, pi, exact):
     m = max_rectangular_below(r, pi)
     if pi.largest == r:                         # (2)
         return n == m
-    # (3): probe every larger part of pi
-    gaps = [m - max_rectangular_below(size, pi)
-            for size, _ in pi.runs if size > r]
+    # (3): probe every larger part of pi; runs come largest first, so the
+    # running total of their rows is max_rectangular_below(size, pi)
+    gaps = []
+    rows = 0
+    for size, mult in pi.runs:
+        if size <= r:
+            break
+        rows += mult
+        gaps.append(m - rows)
     if any(n > gap for gap in gaps):
         return False
     if exact and not any(n == gap for gap in gaps):
@@ -378,9 +389,9 @@ def _char_frequency(rho, sigma, pi, exact):
 
 
 def _check_frequency_domain(rho, sigma):
-    if not (is_total(rho) and rho.card >= 1):
+    if rho.length != 1:
         raise DomainError('rho must be a nonempty total partition')
-    if not (is_total(sigma) and sigma.card >= 1):
+    if sigma.length != 1:
         raise DomainError('sigma must be a nonempty total partition')
 
 

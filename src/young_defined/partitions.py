@@ -116,32 +116,29 @@ def from_parts(parts):
 
 
 def leq(sigma, pi):
-    """Containment order: row i of sigma is no longer than row i of pi.
+    """Containment order: row i of sigma is no longer than row i of pi;
+    equivalently, for every s, sigma has no more parts >= s than pi (the
+    conjugate comparison sigma' <= pi').
 
-    Walks both run lists in parallel instead of expanding the parts.
+    One pass checks the second form at each run (size, mult) of sigma:
+    need counts sigma's parts >= size, and pi's runs are taken, largest
+    first, while they hold fewer than need rows; pi has fewer than need
+    parts >= size exactly when a run so taken is narrower than size.  The
+    length check keeps the walk inside pi's runs.
     """
-    if sigma.length > pi.length:
+    if sigma.length > pi.length or sigma.largest > pi.largest:
         return False
-    runs_s = sigma.runs
     runs_p = pi.runs
-    i = j = 0          # current run in sigma / pi
-    left_s = left_p = 0  # rows left in the current run
-    while True:
-        if left_s == 0:
-            if i == len(runs_s):
-                return True
-            size_s, left_s = runs_s[i]
-            i += 1
-        if left_p == 0:
-            if j == len(runs_p):
+    j = have = need = 0
+    for size, mult in sigma.runs:
+        need += mult
+        while have < need:
+            size_p, mult_p = runs_p[j]
+            if size_p < size:
                 return False
-            size_p, left_p = runs_p[j]
+            have += mult_p
             j += 1
-        if size_s > size_p:
-            return False
-        step = min(left_s, left_p)
-        left_s -= step
-        left_p -= step
+    return True
 
 
 def _lower_cover_runs(runs):
@@ -266,6 +263,8 @@ class Universe:
     """
 
     def __init__(self, max_card):
+        if type(max_card) is not int:
+            raise PartitionError('maxCard must be an integer, got %r' % (max_card,))
         if max_card < 0:
             raise PartitionError('maxCard must be >= 0')
         if max_card > MAX_ENUMERATION_CARD:

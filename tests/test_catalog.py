@@ -57,6 +57,14 @@ def test_max_rectangular_below():
     assert C.max_rectangular_below(7, pi) == 0
 
 
+def test_max_rectangular_below_counts_the_parts_at_least_n():
+    for pi in UNI13:
+        if pi.card <= 12:
+            for n in range(1, 14):
+                assert (C.max_rectangular_below(n, pi)
+                        == sum(part >= n for part in pi.parts())), (n, pi)
+
+
 def test_factorial_sum():
     assert C.factorial_sum(EMPTY) == EMPTY
     assert C.factorial_sum(p('[2]')) == p('(2,1)')

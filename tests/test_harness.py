@@ -157,6 +157,11 @@ def test_reconstruction_needs_enough_levels():
         harness.reconstruction_check(3)
 
 
+def test_reconstruction_refuses_a_bound_that_is_not_an_int():
+    with pytest.raises(partitions.PartitionError, match='must be an integer'):
+        harness.reconstruction_check(4.5)
+
+
 # --- automorphisms
 
 def test_automorphism_counts_by_rank():

@@ -109,6 +109,44 @@ def test_leq_matches_componentwise_expansion(sigma, pi):
     assert leq(sigma, pi) == leq_by_expansion(sigma, pi)
 
 
+def test_leq_matches_expansion_on_every_pair_to_12():
+    universe = enumerate_universe(12).elements
+    assert len(universe) ** 2 == 73984
+    for sigma in universe:
+        for pi in universe:
+            assert leq(sigma, pi) == leq_by_expansion(sigma, pi), (sigma, pi)
+
+
+# runs with sizes up to 60 and multiplicities up to 1,000, so one run of
+# either partition can span several runs of the other
+long_runs = st.dictionaries(st.integers(1, 60), st.integers(1, 1000),
+                            max_size=6).map(
+    lambda d: Partition(sorted(d.items(), reverse=True)))
+
+
+@st.composite
+def near_pairs(draw):
+    """pi, and a sigma cut down from it run by run (so it often fits),
+    with one extra run sometimes added (so it often just fails)."""
+    pi = draw(long_runs)
+    counts = {}
+    for size, mult in pi.runs:
+        cut = draw(st.integers(0, size))
+        if cut:
+            counts[cut] = counts.get(cut, 0) + draw(st.integers(1, mult))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 61))
+        counts[size] = counts.get(size, 0) + draw(st.integers(1, 1000))
+    return Partition(sorted(counts.items(), reverse=True)), pi
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(long_runs, long_runs), near_pairs()))
+def test_leq_matches_expansion_over_long_runs(pair):
+    sigma, pi = pair
+    assert leq(sigma, pi) == leq_by_expansion(sigma, pi)
+
+
 @given(partitions)
 def test_leq_reflexive(pi):
     assert leq(pi, pi)
@@ -282,6 +320,13 @@ def test_partition_count_known_values():
 def test_enumeration_ceiling():
     with pytest.raises(ResourceLimit):
         enumerate_universe(MAX_ENUMERATION_CARD + 1)
+
+
+def test_universe_refuses_a_bound_that_is_not_an_int():
+    # bool is an int subclass, but True is not the bound 1
+    for bound in (True, False, 2.0, 4.5, '3', None):
+        with pytest.raises(PartitionError, match='maxCard must be an integer'):
+            Universe(bound)
 
 
 def test_universe_lookup():

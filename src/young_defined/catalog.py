@@ -18,8 +18,9 @@ small bounds.
 import functools
 import itertools
 
-from .partitions import (EMPTY, Partition, ResourceLimit, from_parts, leq,
-                         lower_covers, factorial_partition)
+from .partitions import (EMPTY, Partition, PartitionError, ResourceLimit,
+                         _lower_cover_runs, from_parts, leq,
+                         factorial_partition)
 
 
 class DomainError(ValueError):
@@ -35,6 +36,8 @@ def rectangle(mult, size):
     maxCard + 2, so the cache stays small); typed, so 2.0 is never
     served the cached answer for 2 and is still refused.
     """
+    if type(mult) is not int or type(size) is not int or min(mult, size) < 0:
+        raise PartitionError('rectangle sides must be integers >= 0, got (%r, %r)' % (mult, size))
     if mult == 0 or size == 0:
         return EMPTY
     return Partition(((size, mult),))
@@ -79,8 +82,9 @@ def is_rectangular(pi):
 
 
 def char_rectangular(pi):
-    """Rectangular iff pi has at most one lower cover."""
-    return len(lower_covers(pi)) <= 1
+    """Rectangular iff pi has at most one lower cover, counted by their
+    canonical run tuples."""
+    return len(set(_lower_cover_runs(pi.runs))) <= 1
 
 
 def has_distinct_parts(pi):
@@ -365,22 +369,25 @@ def char_frequency_leq(rho, sigma, pi):
 def _char_frequency(rho, sigma, pi, exact):
     _check_frequency_domain(rho, sigma)
     r, n = rho.card, sigma.card
-    if pi == rectangle(n, r):
-        return True
-    if not pi.has_part(r):                      # (1)
-        return False
-    m = max_rectangular_below(r, pi)
-    if pi.largest == r:                         # (2)
-        return n == m
-    # (3): probe every larger part of pi; runs come largest first, so the
-    # running total of their rows is max_rectangular_below(size, pi)
-    gaps = []
+    # one pass over pi's runs, largest first, keeping their running total:
+    # each a in above is max_rectangular_below(size, pi) for a part size
+    # above r, and m, the total through the run of size r, is that of r
+    above = []
     rows = 0
+    m = None
     for size, mult in pi.runs:
-        if size <= r:
+        if size < r:
             break
         rows += mult
-        gaps.append(m - rows)
+        if size == r:
+            m = rows
+            break
+        above.append(rows)
+    if m is None:                               # (1): no part r
+        return False
+    if not above:                               # (2): r is the largest part
+        return n == m
+    gaps = [m - a for a in above]               # (3): probe every larger part
     if any(n > gap for gap in gaps):
         return False
     if exact and not any(n == gap for gap in gaps):

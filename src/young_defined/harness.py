@@ -109,9 +109,10 @@ def run_pair(pair, max_card):
     total_checked = 0
     mismatches = []
     boundary = []
+    oracle, characterization = pair.oracle, pair.characterization
     for args in pair.domain(enumerate_universe(max_card)):
         total_checked += 1
-        want, got = pair.oracle(*args), pair.characterization(*args)
+        want, got = oracle(*args), characterization(*args)
         if want != got:
             entry = {'args': [render(a) for a in args],
                      'oracle': want, 'characterization': got}

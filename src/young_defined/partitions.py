@@ -201,10 +201,12 @@ def conjugate(pi):
     return Partition(out)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def factorial_partition(n):
-    """The staircase (n, n-1, ..., 1); n = 0 gives the empty partition."""
-    if n < 0:
-        raise PartitionError('need n >= 0, got %r' % (n,))
+    """The staircase (n, n-1, ..., 1); n = 0 gives the empty partition.
+    Memoized, as sweeps ask for it per tuple; typed, so 2.0 is refused."""
+    if type(n) is not int or n < 0:
+        raise PartitionError('need an integer n >= 0, got %r' % (n,))
     return Partition((k, 1) for k in range(n, 0, -1))
 
 
@@ -423,6 +425,8 @@ def partition_count(n):
     Kept deliberately independent of the enumerator so the two can
     cross-check each other.
     """
+    if type(n) is not int:
+        raise PartitionError('need an integer n, got %r' % (n,))
     if n < 0:
         return 0
     while len(_pcounts) <= n:

@@ -4,9 +4,11 @@ sweeps, boundary behavior, and the reduced-vs-literal cross-checks."""
 import pytest
 
 from young_defined import catalog as C
+from young_defined import harness
 from young_defined.partitions import (EMPTY, Partition, PartitionError,
                                       ResourceLimit, enumerate_universe,
-                                      from_parts, leq, parse_partition)
+                                      from_parts, leq, lower_covers,
+                                      parse_partition)
 
 p = parse_partition
 UNI10 = enumerate_universe(10)
@@ -41,6 +43,16 @@ def test_rectangle_builder():
     C.rectangle(2, 1)
     with pytest.raises(PartitionError):
         C.rectangle(2.0, 1)
+
+
+def test_rectangle_refuses_a_side_that_is_negative_or_not_an_int():
+    # checked before the zero shortcut, so a 0 on the other side is no
+    # excuse; bool is an int subclass, but True is not the side 1
+    for mult, size in ((0, -5), (-1, 0), (0, 2.0), (2.0, 0), (-1, 3),
+                       (3, -1), (True, 1), (1, False), (0, '2'), (None, 0)):
+        with pytest.raises(PartitionError, match='rectangle sides'):
+            C.rectangle(mult, size)
+    assert C.rectangle(0, 0) is EMPTY
 
 
 def test_rectangular():
@@ -225,6 +237,69 @@ def test_distinct_parts():
     assert not C.has_distinct_parts(p('(3,3)'))
     for pi in enumerate_universe(7):
         assert C.char_distinct_parts(pi) == C.has_distinct_parts(pi)
+
+
+def test_char_rectangular_counts_the_lower_covers():
+    for pi in enumerate_universe(14):
+        assert C.char_rectangular(pi) == (len(lower_covers(pi)) <= 1), pi
+
+
+def _char_frequency_reference(rho, sigma, pi, exact):
+    """The frequency characterization written out probe by probe: the
+    rectangle opener, then cases (1)-(3) with one maximal-rectangle probe
+    per larger part."""
+    r, n = rho.card, sigma.card
+    if pi == C.rectangle(n, r):
+        return True
+    if not pi.has_part(r):
+        return False
+    m = C.max_rectangular_below(r, pi)
+    if pi.largest == r:
+        return n == m
+    gaps = [m - C.max_rectangular_below(size, pi)
+            for size, _ in pi.runs if size > r]
+    if any(n > gap for gap in gaps):
+        return False
+    if exact and not any(n == gap for gap in gaps):
+        return False
+    return True
+
+
+def test_one_pass_frequency_matches_the_probe_by_probe_reference():
+    calls = 0
+    for pi in enumerate_universe(14):
+        for r in range(1, 16):
+            for n in range(1, 16):
+                rho, sigma = C.total(r), C.total(n)
+                for exact in (True, False):
+                    assert (C._char_frequency(rho, sigma, pi, exact)
+                            == _char_frequency_reference(rho, sigma, pi,
+                                                         exact)), \
+                        (r, n, pi, exact)
+                    calls += 1
+    assert calls == 228600
+
+
+def test_sweeps_without_witnesses_build_no_partitions(monkeypatch):
+    enumerate_universe(12)
+    pairs = [C.get_pair(name) for name in ('lemma-3.2-rectangular',
+                                           'prop-3.7-factorial',
+                                           'lemma-3.8-same-height')]
+    for pair in pairs:              # fill the rectangle and staircase memos
+        harness.run_pair(pair, 12)
+    built = []
+    init = Partition.__init__
+
+    def counted(self, runs):
+        built.append(runs)
+        init(self, runs)
+    monkeypatch.setattr(Partition, '__init__', counted)
+    for pair in pairs:
+        report = harness.run_pair(pair, 12)
+        assert report.total_checked > 0 and report.mismatch_count == 0
+    assert built == []
+    Partition(((1, 1),))          # the counter does see a construction
+    assert len(built) == 1
 
 
 def test_factorial_characterization():

@@ -457,6 +457,22 @@ def test_factorial_partition():
     assert factorial_partition(0) == EMPTY
     assert factorial_partition(1) == parse_partition('[1]')
     assert factorial_partition(4) == parse_partition('(4,3,2,1)')
+    # memoized: the same object each time
+    for n in range(17):
+        assert factorial_partition(n) is factorial_partition(n)
+
+
+def test_counts_that_are_not_integers_are_refused():
+    # refused before any work, so nothing is memoized for them either
+    before = factorial_partition.cache_info().currsize
+    for n in (2.0, True, False, 2.5, '3', None, -1):
+        with pytest.raises(PartitionError, match='integer'):
+            factorial_partition(n)
+    assert factorial_partition.cache_info().currsize == before
+    for n in (2.5, 2.0, True, '3', None):
+        with pytest.raises(PartitionError, match='integer'):
+            partition_count(n)
+    assert partition_count(-1) == 0
 
 
 # --- text forms

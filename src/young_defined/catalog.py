@@ -45,7 +45,7 @@ def rectangle(mult, size):
 
 def total(n):
     """The total partition [n] (empty when n = 0)."""
-    return rectangle(1, n) if n else EMPTY
+    return rectangle(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def char_bounded_part(rho, pi):
 
 def max_rectangular_below(n, pi):
     """The largest m with m[n] <= pi: total multiplicity of parts >= n."""
-    if n < 1:
-        raise DomainError('need n >= 1')
+    if type(n) is not int or n < 1:
+        raise DomainError('need an integer n >= 1, got %r' % (n,))
     rows = 0
     for size, m in pi.runs:
         if size < n:

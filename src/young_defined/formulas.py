@@ -22,7 +22,7 @@ bit by bit) or looked up one value at a time.  Its guard is split once:
 conjuncts of G in `forall y (G -> psi)` or `exists y (G)` that leave
 the swept variable out are asked once per fill, the rest on their bits.
 When the rest is `y <= q` and psi's disjuncts but `y = q` leave q out,
-they too are asked once per fill, and each q costs one down-mask AND.
+they too are asked once per fill, and one up pass answers every q.
 """
 
 import functools
@@ -641,16 +641,20 @@ class _Compiled:
 
         if below := swept and _below(f, rest, then, q):    # rest is y <= q
             fixed, diagonal = below
-            asks, down = [self._closure(g, y, inner) for g in fixed], self.down
+            asks = [self._closure(g, y, inner) for g in fixed]
 
             def fill(env, need):
                 # bad: kept's y where no fixed disjunct holds; forall wants
-                # down[q] & bad in {0, bit q if y = q}, exists anything but 0
+                # down[q] & bad in {0, bit q if y = q}, exists anything but 0.
+                # down[q] & bad is empty exactly when q is neither in bad nor
+                # above a member of it, and {q} or empty exactly when q is not
+                # strictly above a member, so one up pass answers every q
                 bad = guard(env, full)
                 for ask in asks:
                     bad ^= ask(env, bad) if bad else 0
-                return sum(1 << i for i in _ones(need)
-                           if (down[i] & bad in (0, diagonal << i)) == want_all)
+                hit = (self.universe.strictly_above(bad, need.bit_length())
+                       | (0 if diagonal else bad))
+                return need & ~hit if want_all else need & hit
             return lambda env, care: memo(env, care, fill) & care
 
         rest_row = (self._closure(rest, y, inner) if rest

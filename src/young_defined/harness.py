@@ -114,14 +114,15 @@ def run_pair(pair, max_card):
         total_checked += 1
         want, got = oracle(*args), characterization(*args)
         if want != got:
-            entry = {'args': [render(a) for a in args],
-                     'oracle': want, 'characterization': got}
             reason = pair.boundary(args) if pair.boundary else None
-            if reason:
-                entry['reason'] = reason
-                boundary.append(entry)
-            else:
-                mismatches.append(entry)
+            found = boundary if reason else mismatches
+            entry = None    # past WITNESS_CAP, CheckReport only counts it
+            if len(found) < WITNESS_CAP:
+                entry = {'args': [render(a) for a in args],
+                         'oracle': want, 'characterization': got}
+                if reason:
+                    entry['reason'] = reason
+            found.append(entry)
     return CheckReport(
         pair.name,
         'all registered domain tuples with cardinality <= %d (slack 0)'

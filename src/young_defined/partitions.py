@@ -53,17 +53,19 @@ class Partition:
     __slots__ = ('runs', 'card', 'length', 'largest', '_hash')
 
     def __init__(self, runs):
-        # one pass over any iterable of pairs: validate, copy, accumulate
+        # one pass over any iterable of pairs: validate, accumulate, copy
+        # each pair that is not a plain tuple (unpacking proved it a pair)
         out = []
         card = length = 0
         previous = None
-        for n, m in runs:
+        for run in runs:
+            n, m = run
             if type(n) is not int or type(m) is not int or n < 1 or m < 1:
                 raise PartitionError('bad run (%r,%r): need positive integers' % (n, m))
             if previous is not None and n >= previous:
                 raise PartitionError('run sizes must strictly decrease')
             previous = n
-            out.append((n, m))
+            out.append(run if type(run) is tuple else (n, m))
             card += n * m
             length += m
         runs = tuple(out)
@@ -402,6 +404,21 @@ class Universe:
                     bits[j] |= mask << i - j
             self._up_bits = bits
         return self._up_bits
+
+    def strictly_above(self, mask, stop):
+        """The ordinals j < stop strictly above a member of mask, as a mask:
+        one pass up the cover table from past mask's lowest bit marks j when
+        a lower cover, which has a smaller ordinal, is in mask or marked."""
+        covers, offsets = self.cover_table()
+        seen = bytearray(format(mask, 'b').zfill(stop)[:-stop - 1:-1],
+                         'ascii').translate(bytes.maketrans(b'01', b'\0\1'))
+        hit = bytearray(b'0') * stop
+        for j in range((mask & -mask).bit_length() or stop, stop):
+            for c in covers[offsets[j]:offsets[j + 1]]:
+                if seen[c]:
+                    seen[j], hit[j] = 1, 49     # 49 is ord('1')
+                    break
+        return int(hit[::-1] or b'0', 2)
 
     def up_mask(self, i):
         """up_bits()[i] << i, read off the down cache: bit j >= i is set

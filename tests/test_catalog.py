@@ -55,6 +55,14 @@ def test_rectangle_refuses_a_side_that_is_negative_or_not_an_int():
     assert C.rectangle(0, 0) is EMPTY
 
 
+def test_total_refuses_what_rectangle_refuses():
+    # falsy values are checked too: 0.0 and False are not the total 0
+    for n in (0.0, False, 2.0, True, -1, None, '0'):
+        with pytest.raises(PartitionError, match='rectangle sides'):
+            C.total(n)
+    assert C.total(0) is EMPTY
+
+
 def test_rectangular():
     for pi in UNI10:
         expected = pi == C.rectangle(pi.length, pi.largest)
@@ -67,6 +75,13 @@ def test_max_rectangular_below():
     assert C.max_rectangular_below(5, pi) == 3
     assert C.max_rectangular_below(6, pi) == 2
     assert C.max_rectangular_below(7, pi) == 0
+
+
+def test_max_rectangular_below_refuses_an_n_that_is_not_an_int():
+    pi = p('2[6]+[5]')
+    for n in (2.0, 6.5, True, '2', None, 0, -1):
+        with pytest.raises(C.DomainError, match='need an integer n >= 1'):
+            C.max_rectangular_below(n, pi)
 
 
 def test_max_rectangular_below_counts_the_parts_at_least_n():

@@ -782,7 +782,8 @@ def test_down_sweep_edge_cases_agree_with_naive(text, swept):
 
 def test_down_sweep_runs_no_closure_per_candidate(monkeypatch):
     # z = c leaves x out, so the upper-cover sweep asks it once per fill;
-    # each x then costs one down-mask AND, and no closure runs for it
+    # one up pass over the cover table then answers every x, and no
+    # closure runs for any of them
     c = p('[2]+[1]')
     watched = F.Eq(F.Var('z'), F.Const('c', c))
     counts = {'asked': 0, 'closure': 0}

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from young_defined import cli, formulas, harness, partitions
-from young_defined.catalog import all_pairs
+from young_defined.catalog import all_pairs, get_pair
 from young_defined.partitions import (Universe, enumerate_level,
                                       enumerate_universe, parse_partition,
                                       render)
@@ -75,6 +75,31 @@ def test_witness_cap_applies():
     report = harness.check_proposition('prop-3.6-part-of-a', 14)
     assert report.mismatch_count > harness.WITNESS_CAP
     assert len(report.witnesses) == harness.WITNESS_CAP
+
+
+def test_run_pair_renders_only_the_witnesses_it_keeps(monkeypatch):
+    # CheckReport keeps WITNESS_CAP witnesses per list; past that a tuple
+    # is counted, and still asked whether it is a boundary case
+    rendered, asked = [], []
+    monkeypatch.setattr(harness, 'render',
+                        lambda pi: rendered.append(pi) or render(pi))
+    geq = get_pair('prop-3.9-add-geq')
+    boundary = geq.boundary
+    monkeypatch.setattr(geq, 'boundary',
+                        lambda args: asked.append(args) or boundary(args))
+    for name, bound, arity, counts in (
+            ('prop-3.6-part-of-a', 19, 2, (13185, 0)),
+            ('prop-3.9-add-geq', 10, 3, (120, 121))):
+        del rendered[:]
+        report = harness.run_pair(get_pair(name), bound)
+        assert (report.mismatch_count, report.boundary_count) == counts
+        kept = report.witnesses + report.boundary_witnesses
+        assert len(kept) == sum(min(n, harness.WITNESS_CAP) for n in counts)
+        assert sorted(map(render, rendered)) == sorted(
+            a for witness in kept for a in witness['args'])
+        assert len(rendered) <= arity * 2 * harness.WITNESS_CAP
+    assert len(asked) == 120 + 121
+    assert all(w['reason'] for w in report.boundary_witnesses)
 
 
 # --- variant resolution

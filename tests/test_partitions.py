@@ -1,6 +1,7 @@
 """Exact partition arithmetic: construction, order, covers, conjugation,
 lattice operations, enumeration, and the text forms."""
 
+import collections
 import sys
 import types
 from array import array
@@ -61,6 +62,25 @@ def test_runs_validation():
         assert pi == expected
         assert (pi.card, pi.length, pi.largest) == (7, 3, 3)
         assert hash(pi) == hash(expected)
+
+
+def test_runs_keep_input_tuples_and_copy_other_pairs():
+    runs = ((3, 2), (1, 1))
+    pi = Partition(runs)
+    assert all(got is given for got, given in zip(pi.runs, runs))
+    Run = collections.namedtuple('Run', 'size mult')
+    for other in ([[3, 2], [1, 1]],                       # lists of lists
+                  [Run(3, 2), Run(1, 1)],                 # a tuple subclass
+                  ([n, m] for n, m in runs)):              # a generator
+        pi = Partition(other)
+        assert pi.runs == runs
+        assert all(type(run) is tuple for run in pi.runs)
+    # each partition of a level shares the pairs of the tail it extends
+    for pi in enumerate_level(9):
+        (s, m), *rest = pi.runs
+        tail = next(t for t in enumerate_level(9 - s * m)
+                    if t.runs == tuple(rest))
+        assert all(a is b for a, b in zip(rest, tail.runs))
 
 
 def test_bool_parts_are_refused():
@@ -408,6 +428,46 @@ def test_universe_bit_caches_agree_with_leq():
                     assert bool(up[i] >> j - i & 1) == below
                 else:               # nothing above sigma comes before it
                     assert not below
+
+
+UNI12 = Universe(12)
+
+
+def _strictly_above_by_leq(universe, mask, stop):
+    """The ordinals j < stop strictly above a member of mask, by leq."""
+    members = [universe.elements[i] for i in range(len(universe))
+               if mask >> i & 1]
+    return sum(1 << j for j, pi in enumerate(universe.elements[:stop])
+               if any(sigma != pi and leq(sigma, pi) for sigma in members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, len(UNI12) - 1), max_size=40),
+       st.integers(0, len(UNI12)))
+def test_strictly_above_matches_leq(members, stop):
+    mask = sum(1 << i for i in members)
+    assert (UNI12.strictly_above(mask, stop)
+            == _strictly_above_by_leq(UNI12, mask, stop))
+
+
+def test_strictly_above_edge_cases():
+    n = len(UNI12)
+    everything_else = (1 << n) - 2
+    assert UNI12.strictly_above(0, n) == 0
+    assert UNI12.strictly_above(1, n) == everything_else   # above EMPTY
+    assert UNI12.strictly_above((1 << n) - 1, n) == everything_else
+    two = UNI12.ordinal(parse_partition('[2]'))
+    for mask, low in ((1, 0), (1 << two, two)):     # stop at or below, or
+        for stop in range(low + 2):                 # just past, the lowest
+            assert UNI12.strictly_above(mask, stop) == 0, (mask, stop)
+    # [2] covers [1] (ordinal 1), so a pass from the right start marks it
+    assert UNI12.strictly_above(1 << 1, two + 1) == 1 << two
+    # members at or past stop count for nothing, and no bit past it is set
+    ones = UNI12.ordinal(parse_partition('2[1]'))
+    assert UNI12.strictly_above(1 << ones | 1 << 1, ones) == 1 << two
+    for mask in (1 << two, 1 << 1 | 1 << ones, 0b1010):
+        assert UNI12.strictly_above(mask, n) == _strictly_above_by_leq(
+            UNI12, mask, n)
 
 
 def test_bit_caches_construct_no_partitions(monkeypatch):

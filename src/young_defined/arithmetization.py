@@ -121,8 +121,8 @@ def nth_prime(i):
     Served for every i <= PRIME_INDEX_CEILING; a larger index raises
     ResourceLimit before any work is done.
     """
-    if i < 1:
-        raise ValueError('prime indices start at 1')
+    if type(i) is not int or i < 1:
+        raise ValueError('prime indices are integers >= 1, got %r' % (i,))
     if i > PRIME_INDEX_CEILING:
         raise ResourceLimit('prime index ceiling %d exceeded (wanted %d)'
                             % (PRIME_INDEX_CEILING, i))
@@ -190,35 +190,41 @@ def decode(n):
     anything else reads its prime factorization as runs, the i-th prime
     carrying parts of size i.  Every n <= DECODE_CEILING decodes.
     """
-    if n < 0:
-        raise ValueError('codes are non-negative, got %r' % (n,))
+    if type(n) is not int or n < 0:
+        raise ValueError('codes are non-negative integers, got %r' % (n,))
     if n == 0:
         return EMPTY
     if n & (n - 1) == 0:
-        return Partition(((1, n.bit_length()),))
+        k = n.bit_length()
+        return Partition._canonical(((1, k),), k, k)
     if n > _SPF_LIMIT:
         runs = _runs(n)
+        card, length = sum(i * e for i, e in runs), sum(e for _, e in runs)
     else:
         table, runs = _spf or _tables()[0], []
+        card = length = 0
         while n > 1:
             p = table[n]
-            if p < 0:
-                runs.append((-p, 1))
-                break
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            runs.append((-table[p], e))
-    # ascending by prime, so the reverse is the canonical order
+            if p < 0:                   # n is the (-p)-th prime
+                i, e, n = -p, 1, 1
+            else:
+                i, e, n = -table[p], 1, n // p
+                while n % p == 0:
+                    n //= p
+                    e += 1
+            runs.append((i, e))
+            card += i * e
+            length += e
+    # ascending by prime, so the reverse is canonical and needs no checks
     runs.reverse()
-    return Partition(runs)
+    return Partition._canonical(tuple(runs), card, length)
 
 
 def primexp(i, m, n):
     """Does the i-th prime divide n with exponent exactly m?"""
-    if n < 1:
-        raise ValueError('primexp needs n >= 1, got %r' % (n,))
+    if not all(type(v) is int for v in (i, m, n)) or n < 1:
+        raise ValueError('primexp needs integers and n >= 1, got %r'
+                         % ((i, m, n),))
     p = nth_prime(i)
     e = 0
     while n % p == 0:

@@ -438,6 +438,20 @@ def embed_report(name, poset, max_card, expect_found=True):
 
 CORPUS_SLACKS = (0, 1, 2, 3)    # the quick profile keeps only 0 and 1
 
+# By prenex class, whether a flipped value may be a member at the larger of
+# the flip's two slacks.  The truncation at a smaller slack is an induced
+# substructure of the one at a larger slack holding every free value and
+# constant, and existential formulas are preserved upward: a Sigma1 set
+# can only grow, a Pi1 set only shrink, and a Delta0 set cannot change.
+_FLIP_ENDS_IN = {'Sigma1': (True,), 'Pi1': (False,), 'Delta0': ()}
+
+
+def _wrong_way(klass, flips):
+    """The flips of stability_check that a formula of class klass cannot make."""
+    ends = _FLIP_ENDS_IN.get(klass, (True, False))
+    return [(value, k0, k1, was) for value, k0, k1, was in flips
+            if (was != (k0 < k1)) not in ends]
+
 
 def _corpus_header(text):
     """The class and the standard bound a corpus file declares on its
@@ -493,6 +507,10 @@ def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
     universe = enumerate_universe(bound + max(slacks))
     sets, flips = formulas.stability_check(formula, free, universe, bound,
                                            slacks)
+    for value, k0, k1, was in _wrong_way(got_class, flips):
+        mismatches.append({'problem': 'flip against the class',
+                           'value': repr(value), 'fromSlack': k0,
+                           'toSlack': k1, 'wasMember': was})
     expected = _corpus_expectation(name, universe, bound)
     total_checked = len(slacks) * universe.ordinal_cutoff(bound) ** len(free)
     for k, got in zip(slacks, sets):

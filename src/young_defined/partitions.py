@@ -75,6 +75,15 @@ class Partition:
         self.largest = runs[0][0] if runs else 0
         self._hash = hash(runs)
 
+    @classmethod
+    def _canonical(cls, runs, card, length):
+        """The trusted constructor of enumerate_level and decode: it checks
+        nothing, as runs is non-empty, canonical, of that card and length."""
+        self = object.__new__(cls)
+        self.runs, self.card, self.length = runs, card, length
+        self.largest, self._hash = runs[0][0], hash(runs)
+        return self
+
     def parts(self):
         """The expanded descending part sequence, e.g. (3,1,1)."""
         out = []
@@ -253,7 +262,8 @@ def enumerate_level(n):
     """
     if n == 0:
         return (Partition(()),)
-    return tuple(Partition(((s, m),) + t.runs) for s, m, r in _blocks(n)
+    return tuple(Partition._canonical(((s, m),) + t.runs, n, m + t.length)
+                 for s, m, r in _blocks(n)
                  for t in _suffix(enumerate_level(r), s))
 
 

@@ -10,7 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from young_defined import arithmetization as A
-from young_defined.partitions import (EMPTY, ResourceLimit,
+from young_defined import partitions as P
+from young_defined.partitions import (EMPTY, Partition, PartitionError,
+                                      ResourceLimit, enumerate_level,
                                       enumerate_universe, from_parts, leq,
                                       parse_partition)
 
@@ -154,6 +156,54 @@ def test_decode_does_not_depend_on_earlier_calls():
 def test_decode_ceiling():
     with pytest.raises(ResourceLimit):
         A.decode(A.DECODE_CEILING + 1)
+
+
+@pytest.mark.parametrize('call', [
+    lambda: A.decode(True), lambda: A.decode(False), lambda: A.decode(2.0),
+    lambda: A.decode(float(2 ** 40)), lambda: A.decode('6'),
+    lambda: A.nth_prime(True), lambda: A.nth_prime(2.0),
+    lambda: A.nth_prime(float(10 ** 9)),
+    lambda: A.primexp(True, 1, 4), lambda: A.primexp(1, True, 2),
+    lambda: A.primexp(1, 1, 4.0)])
+def test_codes_and_prime_indices_must_be_ints(call):
+    # refused before any work: 2.0 ** 40 is not read as a power of two,
+    # and 1e9 is not compared with the prime index ceiling
+    with pytest.raises(ValueError):
+        call()
+
+
+def _trusted_products(decode, enumerate_level):
+    """What decode and enumerate_level build through the trusted
+    constructor: every partition of levels <= 25, decode(n) for n <= 10^5,
+    and 310 codes above the factor table, among them k times the k-th
+    prime above 10^6, whose index is counted rather than read."""
+    rng = random.Random(0)
+    above = [rng.randrange(10 ** 6 + 1, 4 * 10 ** 6) for _ in range(300)]
+    above += [k * A.nth_prime(78498 + k) for k in range(1, 11)]
+    yield from (pi for n in range(26) for pi in enumerate_level(n))
+    yield from map(decode, itertools.chain(range(10 ** 5 + 1), above))
+
+
+def _assert_slots_as_validated(partitions):
+    for pi in partitions:
+        rebuilt = Partition(pi.runs)
+        for slot in Partition.__slots__:
+            assert getattr(pi, slot) == getattr(rebuilt, slot), (pi.runs, slot)
+
+
+def test_trusted_partitions_equal_validated_ones():
+    _assert_slots_as_validated(_trusted_products(A.decode, enumerate_level))
+
+
+@pytest.mark.parametrize('module, name, old, new', [
+    (A, 'decode', 'runs.reverse()', 'pass'),
+    (P, 'enumerate_level', 'm + t.length', 't.length')])
+def test_a_mutated_trusted_producer_fails_the_check(mutant, module, name,
+                                                     old, new):
+    producers = {'decode': A.decode, 'enumerate_level': enumerate_level}
+    producers[name] = mutant(getattr(module, name), old, new)
+    with pytest.raises((AssertionError, PartitionError)):
+        _assert_slots_as_validated(_trusted_products(**producers))
 
 
 def test_primexp():

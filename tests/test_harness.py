@@ -1,12 +1,15 @@
 """Certification harness: reports, variant resolution, reconstruction,
 automorphisms, poset embedding, corpus and aggregate runs, CLI."""
 
+import itertools
 import json
 import pathlib
 import re
 import time
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from young_defined import cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs, get_pair
@@ -318,6 +321,93 @@ def test_corpus_report_refuses_an_empty_slack_schedule():
     # refused before the universe is sized from the largest slack
     with pytest.raises(formulas.EvalError, match='empty slack schedule'):
         harness.corpus_report('cover', formulas.corpus()['cover'], slacks=())
+
+
+MAXIMAL = 'forall y (x <= y -> x = y)'     # Pi1: level 3 flips out
+
+
+@pytest.mark.parametrize('slacks', [(0, 1), (1, 0)])
+def test_corpus_report_fails_a_flip_against_the_class(monkeypatch, slacks):
+    text = '# class: Pi1\n# bound: 3\n' + MAXIMAL
+    report = harness.corpus_report('empty', text, slacks=slacks)
+    assert report.details['flipCount'] == 3
+    assert not any(w['problem'] == 'flip against the class'
+                   for w in report.witnesses)
+    # read as Sigma1, each of the 3 flips leaves the set as the slack grows
+    monkeypatch.setattr(formulas, 'prenex_classify', lambda f: 'Sigma1')
+    report = harness.corpus_report('empty', text.replace('Pi1', 'Sigma1'),
+                                   slacks=slacks)
+    wrong = [w for w in report.witnesses
+             if w['problem'] == 'flip against the class']
+    assert len(wrong) == 3 and report.verdict == 'fail'
+    assert wrong[0] == {'problem': 'flip against the class',
+                        'value': "Partition('3[1]')",
+                        'fromSlack': slacks[0], 'toSlack': slacks[1],
+                        'wasMember': slacks == (0, 1)}
+
+
+UNI10 = Universe(10)
+
+
+@st.composite
+def sigma1_and_pi1_texts(draw):
+    """One or two like quantifiers, y and then z outside it, whose body is
+    the guard `x <= v` or `c <= v`, v the outer variable, and 1-3 literals
+    over x, c and the quantified variables: joined by & under exists, and
+    by | after the guard's -> under forall.  The guard reaches above the
+    bound, so flips are common (one text in four to eight)."""
+    bound = draw(st.sampled_from([['y'], ['y', 'z']]))
+    guard = '%s <= %s' % (draw(st.sampled_from(['x', 'c'])), bound[-1])
+    literal = st.builds(lambda form, pair: form % pair,
+                        st.sampled_from(['%s <= %s', '%s != %s', '!(%s <= %s)']),
+                        st.sampled_from(list(itertools.permutations(
+                            ['x', 'c'] + bound, 2))))
+    rest = draw(st.lists(literal, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        q, body = 'exists', ' & '.join([guard] + rest)
+    else:
+        q, body = 'forall', '%s -> %s' % (guard, ' | '.join(rest))
+    text = '%s y (%s)' % (q, body)
+    if len(bound) == 2:
+        text = '%s z (%s)' % (q, text)
+    constant = draw(st.sampled_from(['[1]', '[2]+[1]', '2[2]', '[3]+[1]',
+                                     '[6]']))
+    return 'const c = %s;\n%s' % (constant, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma1_and_pi1_texts())
+def test_sigma1_sets_grow_and_pi1_sets_shrink_with_the_slack(text):
+    f = formulas.parse(text)
+    free = tuple(sorted(formulas.free_vars(f)))
+    _, flips = formulas.stability_check(f, free, UNI10, 5, (0, 1, 2, 3))
+    got = str(formulas.prenex_classify(f))
+    assert got in ('Sigma1', 'Pi1')
+    assert harness._wrong_way(got, flips) == []
+
+
+def _swapped_classes(monkeypatch, mutant):
+    classify = formulas.prenex_classify
+    monkeypatch.setattr(formulas, 'prenex_classify', lambda f: {
+        'Sigma1': 'Pi1', 'Pi1': 'Sigma1'}[str(classify(f))])
+
+
+def _sets_in_reverse_slack_order(monkeypatch, mutant):
+    monkeypatch.setattr(formulas, 'stability_check', mutant(
+        formulas.stability_check, 'for k in slacks:', 'for k in slacks[::-1]:'))
+
+
+@pytest.mark.parametrize('mutate', [_swapped_classes,
+                                    _sets_in_reverse_slack_order])
+def test_a_wrong_way_reading_fails_the_flip_direction_test(monkeypatch,
+                                                           mutant, mutate):
+    mutate(monkeypatch, mutant)
+    run = settings(max_examples=100, deadline=None, database=None,
+                   phases=[Phase.generate])(given(sigma1_and_pi1_texts())(
+        test_sigma1_sets_grow_and_pi1_sets_shrink_with_the_slack
+        .hypothesis.inner_test))
+    with pytest.raises(AssertionError):
+        run()
 
 
 def test_each_corpus_file_declares_its_class_and_bound():

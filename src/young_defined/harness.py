@@ -155,6 +155,17 @@ def variant_resolution(report_a, report_b):
 # ---------------------------------------------------------------------------
 # reconstruction from lower covers
 
+def _fingerprints(universe, n):
+    """Level n's ordinals, in order, grouped by their lower-cover sets."""
+    covers, offsets = universe.cover_table()
+    groups = {}
+    # the index's own int objects, so that the groups allocate no ordinals
+    for i in map(universe.ordinal, universe.levels[n]):
+        groups.setdefault(frozenset(covers[offsets[i]:offsets[i + 1]]),
+                          []).append(i)
+    return groups
+
+
 def reconstruction_check(max_card):
     """Injectivity of the lower-cover fingerprint on each level >= 4,
     plus confirmation of the known two-element collision on level 2."""
@@ -162,18 +173,12 @@ def reconstruction_check(max_card):
         raise UsageError('reconstruction check needs max_card >= 4')
     start = time.perf_counter()
     universe = enumerate_universe(max_card)
-    covers, offsets = universe.cover_table()
-    i = 0       # ordinals run level by level, so pi's is a running count
     mismatches = []
     collisions_by_level = {}
-    for n, level in enumerate(universe.levels):
-        groups = {}
-        for pi in level:
-            key = frozenset(covers[offsets[i]:offsets[i + 1]])
-            groups.setdefault(key, []).append(pi)
-            i += 1
-        collided = sorted([sorted(render(p) for p in g)
-                           for g in groups.values() if len(g) > 1])
+    for n in range(max_card + 1):
+        collided = sorted([sorted(render(universe.elements[i]) for i in group)
+                           for group in _fingerprints(universe, n).values()
+                           if len(group) > 1])
         if collided:
             collisions_by_level[n] = collided
             if n >= 4:
@@ -195,12 +200,12 @@ def reconstruction_check(max_card):
 # automorphisms of the truncated diagram
 
 AUTOMORPHISM_RANK = 8
-AUTOMORPHISM_RANK_CEILING = 12
+AUTOMORPHISM_RANK_CEILING = 26   # 11,732 elements: 0.12-0.25 s, 28 MB raw
 
 
 def automorphism_search(max_rank):
     """All rank-preserving bijections of levels 0..max_rank preserving
-    the cover relation in both directions, by per-level backtracking.
+    the cover relation in both directions, by backtracking over ordinals.
 
     Covers connect consecutive levels only, so a level-wise bijection
     that maps every element's lower-cover set onto its image's
@@ -214,31 +219,26 @@ def automorphism_search(max_rank):
     universe = enumerate_universe(max_rank)
     elements = universe.elements
     covers, offsets = universe.cover_table()
-    lc = [frozenset(covers[offsets[i]:offsets[i + 1]])
-          for i in range(len(elements))]
-    levels = [range(universe.ordinal_cutoff(n - 1), universe.ordinal_cutoff(n))
-              for n in range(max_rank + 1)]
-    image = [None] * len(elements)
+    index = [_fingerprints(universe, n) for n in range(max_rank + 1)]
+    image = []
     used = set()
     found = []
-
-    def extend(e):
-        # ordinals run level by level, so every lower cover of e has an image
-        if e == len(elements):
-            found.append(list(image))
-            return
-        key = frozenset(image[c] for c in lc[e])
-        for u in levels[elements[e].card]:
-            if u in used or lc[u] != key:
-                continue
-            image[e] = u
+    # ordinals run level by level, so e's lower covers have images before e
+    stack = [iter(index[0][frozenset()])]
+    while stack:
+        if len(image) == len(stack):    # back at the top: release its image
+            used.discard(image.pop())
+        u = next((u for u in stack[-1] if u not in used), None)
+        if u is None:
+            stack.pop()
+        elif len(stack) == len(elements):
+            found.append(image + [u])
+        else:
+            image.append(u)
             used.add(u)
-            extend(e + 1)
-            used.discard(u)
-            image[e] = None
-
-    extend(0)
-    found.sort()
+            e = len(stack)
+            key = frozenset(image[c] for c in covers[offsets[e]:offsets[e + 1]])
+            stack.append(iter(index[elements[e].card].get(key, ())))
     return [{elements[e]: elements[u] for e, u in enumerate(images)}
             for images in found]
 

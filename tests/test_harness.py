@@ -1,6 +1,7 @@
 """Certification harness: reports, variant resolution, reconstruction,
 automorphisms, poset embedding, corpus and aggregate runs, CLI."""
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from young_defined import cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs, get_pair
 from young_defined.partitions import (Universe, enumerate_level,
-                                      enumerate_universe, parse_partition,
-                                      render)
+                                      enumerate_universe, lower_covers,
+                                      parse_partition, render)
 
 
 # --- reports
@@ -126,6 +127,17 @@ def test_variant_resolution_rejects_two_survivors():
 
 # --- reconstruction
 
+def test_fingerprints_group_each_level_as_lower_covers_do():
+    # lower_covers works from run tuples, independently of the cover table
+    universe = enumerate_universe(12)
+    for n, level in enumerate(universe.levels):
+        expected = {}
+        for pi in level:
+            key = frozenset(universe.ordinal(s) for s in lower_covers(pi))
+            expected.setdefault(key, []).append(universe.ordinal(pi))
+        assert harness._fingerprints(universe, n) == expected
+
+
 def test_reconstruction_from_lower_covers():
     report = harness.reconstruction_check(12)
     assert report.verdict == 'pass'
@@ -150,19 +162,26 @@ def test_reconstruction_reports_a_collision_above_level_3(monkeypatch):
     assert report.witnesses == [{'level': 4, 'groups': [['2[2]', '[4]']]}]
 
 
-def test_reconstruction_names_a_lost_level_2_collision(monkeypatch):
+def _edit_cover_row(monkeypatch, text, edit):
+    """Patch Universe.cover_table so that the row of the partition
+    written text becomes edit(row), and every other row stays."""
     table = Universe.cover_table
 
-    def stripped(universe):
+    def edited(universe):
         covers, offsets = table(universe)
-        bare = universe.ordinal(parse_partition('2[1]'))
-        rows = [covers[offsets[i]:offsets[i + 1]] if i != bare else []
+        cut = universe.ordinal(parse_partition(text))
+        rows = [covers[offsets[i]:offsets[i + 1]]
                 for i in range(len(offsets) - 1)]
+        rows[cut] = edit(rows[cut])
         offsets = [0]
         for row in rows:
             offsets.append(offsets[-1] + len(row))
         return [c for row in rows for c in row], offsets
-    monkeypatch.setattr(Universe, 'cover_table', stripped)
+    monkeypatch.setattr(Universe, 'cover_table', edited)
+
+
+def test_reconstruction_names_a_lost_level_2_collision(monkeypatch):
+    _edit_cover_row(monkeypatch, '2[1]', lambda row: [])
     report = harness.reconstruction_check(6)
     assert report.verdict == 'fail'
     assert report.mismatch_count >= 1
@@ -211,6 +230,23 @@ def test_automorphism_report():
     report = harness.automorphism_report(6)
     assert report.verdict == 'pass'
     assert report.details == {'count': 2, 'kinds': ['conjugation', 'identity']}
+
+
+def test_automorphisms_to_rank_25_are_conjugation_and_identity():
+    reports = [harness.automorphism_report(25) for _ in range(3)]
+    for report in reports:
+        assert report.verdict == 'pass'
+        assert report.details == {'count': 2,
+                                  'kinds': ['conjugation', 'identity']}
+    # best of three, so that one slow run on a loaded host does not fail it
+    assert min(report.elapsed for report in reports) <= 0.5
+
+
+def test_automorphism_search_fails_without_one_lower_cover(monkeypatch):
+    _edit_cover_row(monkeypatch, '[3]+[1]', lambda row: row[:-1])
+    report = harness.automorphism_report(6)
+    assert report.verdict == 'fail'
+    assert report.details == {'count': 1, 'kinds': ['identity']}
 
 
 def test_automorphism_rank_ceiling():
@@ -483,6 +519,16 @@ def test_check_all_quick_matches_the_recorded_report(capsys):
     assert elapsed.sub('', capsys.readouterr().out) == elapsed.sub('', recorded)
 
 
+def test_check_all_standard_matches_the_recorded_digest(capsys):
+    # the sha256 of the standard report without its elapsedSeconds lines;
+    # a change that alters the standard report must re-record it
+    assert run_cli('check-all', '--profile', 'standard', '--json') == 0
+    kept = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+            if '"elapsedSeconds"' not in line]
+    assert hashlib.sha256(''.join(kept).encode()).hexdigest() == (
+        'a1787fd2dd68d3e78e94c54ce8cb33aba6c139abb604f15541aa33fa084b1e4a')
+
+
 def test_check_all_human_output_times_each_suite(capsys):
     assert run_cli('check-all', '--profile', 'quick') == 0
     lines = capsys.readouterr().out.splitlines()
@@ -616,6 +662,15 @@ def test_cli_reconstruct_and_automorphisms(capsys):
     assert run_cli('automorphisms', '--max-rank', '4') == 0
     out = capsys.readouterr().out
     assert 'conjugation, identity' in out
+
+
+def test_cli_automorphisms_to_rank_25_and_past_the_ceiling(capsys):
+    assert run_cli('automorphisms', '--max-rank', '25') == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == '  found 2 automorphism(s): conjugation, identity'
+    assert run_cli('automorphisms', '--max-rank', '27') == 2
+    assert capsys.readouterr().err == (
+        'error: automorphism search is capped at rank 26\n')
 
 
 def test_cli_automorphisms_prints_its_mismatch(monkeypatch, capsys):

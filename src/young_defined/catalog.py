@@ -15,6 +15,7 @@ Universe and exist so the tests can certify the reduction itself at
 small bounds.
 """
 
+import collections
 import functools
 import itertools
 
@@ -110,34 +111,71 @@ def char_distinct_parts(pi):
 
 
 # ---------------------------------------------------------------------------
+# argument kinds: the domains Lemma 3.1 makes definable
+
+# The partitions one predicate argument ranges over: a name for messages,
+# a membership test, and members(universe) in sweep order.
+Kind = collections.namedtuple('Kind', 'name test members')
+
+ANY = Kind('any', lambda pi: True, lambda universe: universe.elements)
+TOTAL = Kind('total', is_total, lambda universe: [
+    total(n) for n in range(universe.max_card + 1)])
+NONEMPTY_TOTAL = Kind('nonempty total', lambda pi: pi.length == 1,
+                      lambda universe: TOTAL.members(universe)[1:])
+TRIVIAL = Kind('trivial', is_trivial, lambda universe: [
+    rectangle(m, 1) for m in range(universe.max_card + 1)])
+NONEMPTY_TRIVIAL = Kind('nonempty trivial', lambda pi: pi.largest == 1,
+                        lambda universe: TRIVIAL.members(universe)[1:])
+
+
+def _on(*kinds):
+    """Declare a predicate's argument kinds; a direct (positional) call
+    refuses an argument outside its kind with DomainError."""
+    def declare(fn):
+        names = fn.__code__.co_varnames
+
+        @functools.wraps(fn)
+        def checked(*args):
+            for name, kind, arg in zip(names, kinds, args):
+                if not kind.test(arg):
+                    raise DomainError('%s: %s must be a %s partition, got %r'
+                                      % (fn.__name__, name, kind.name, arg))
+            return fn(*args)
+        checked.kinds = kinds
+        return checked
+    return declare
+
+
+def _kinds(fn):
+    """The kinds fn declares; undeclared, any partition in each argument."""
+    return getattr(fn, 'kinds', (ANY,) * fn.__code__.co_argcount)
+
+
+# ---------------------------------------------------------------------------
 # length / largest part helpers
 
+@_on(TRIVIAL, ANY)
 def length_equals(rho, pi):
     """Oracle: pi has exactly as many parts as the trivial rho = m[1]."""
-    if not is_trivial(rho):
-        raise DomainError('rho must be trivial, got %r' % (rho,))
     return pi.length == rho.card
 
 
+@_on(TRIVIAL, ANY)
 def char_length_equals(rho, pi):
     """l(pi) = m iff m[1] fits inside pi but (m+1)[1] does not."""
-    if not is_trivial(rho):
-        raise DomainError('rho must be trivial, got %r' % (rho,))
     m = rho.card
     return leq(rectangle(m, 1), pi) and not leq(rectangle(m + 1, 1), pi)
 
 
+@_on(NONEMPTY_TOTAL, ANY)
 def bounded_part(rho, pi):
     """Oracle: every part of pi has at most |rho| boxes (rho = [n])."""
-    if rho.length != 1:
-        raise DomainError('rho must be a nonempty total partition')
     return pi.largest <= rho.card
 
 
+@_on(NONEMPTY_TOTAL, ANY)
 def char_bounded_part(rho, pi):
     """All parts have size <= n iff [n+1] does not fit inside pi."""
-    if rho.length != 1:
-        raise DomainError('rho must be a nonempty total partition')
     return not leq(total(rho.card + 1), pi)
 
 
@@ -153,48 +191,42 @@ def max_rectangular_below(n, pi):
     return rows
 
 
+@_on(NONEMPTY_TOTAL, NONEMPTY_TRIVIAL, ANY)
 def rectangular_triple(rho, sigma, pi):
     """Oracle: pi is the rectangle with |sigma| parts of size |rho|."""
-    _check_rect_triple_domain(rho, sigma)
     return pi == rectangle(sigma.card, rho.card)
 
 
+@_on(NONEMPTY_TOTAL, NONEMPTY_TRIVIAL, ANY)
 def char_rectangular_triple(rho, sigma, pi):
     """pi is |sigma|[|rho|] iff b(pi)=|rho|, l(pi)=|sigma|, pi rectangular."""
-    _check_rect_triple_domain(rho, sigma)
     return (pi.largest == rho.card and pi.length == sigma.card
             and char_rectangular(pi))
-
-
-def _check_rect_triple_domain(rho, sigma):
-    if rho.length != 1:
-        raise DomainError('rho must be a nonempty total partition')
-    if not (is_trivial(sigma) and sigma.card >= 1):
-        raise DomainError('sigma must be a nonempty trivial partition')
 
 
 # ---------------------------------------------------------------------------
 # part membership (two variants: the two polarities of the final relation)
 
+@_on(NONEMPTY_TOTAL, ANY)
 def is_part_of(rho, pi):
     """Oracle: pi has a part of size |rho| (rho = [n], nonempty total)."""
-    _check_part_of_domain(rho)
     return pi.has_part(rho.card)
 
 
+@_on(NONEMPTY_TOTAL, ANY)
 def char_part_of_a(rho, pi):
     """Membership variant A: ... whenever r[n] <= pi but (r+1)[n] is not,
     then r[n+1] <= pi."""
     return _char_part_of(rho, pi, final_fits=True)
 
 
+@_on(NONEMPTY_TOTAL, ANY)
 def char_part_of_b(rho, pi):
     """Membership variant B: ... then r[n+1] is NOT <= pi."""
     return _char_part_of(rho, pi, final_fits=False)
 
 
 def _char_part_of(rho, pi, final_fits):
-    _check_part_of_domain(rho)
     n = rho.card
     if not leq(rho, pi):
         return False
@@ -205,26 +237,19 @@ def _char_part_of(rho, pi, final_fits):
     return True
 
 
-def _check_part_of_domain(rho):
-    if rho.length != 1:
-        raise DomainError('rho must be a nonempty total partition')
-
-
 # ---------------------------------------------------------------------------
 # factorials
 
+@_on(TOTAL, ANY)
 def is_factorial(rho, pi):
     """Oracle: pi is the staircase with largest part |rho|."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     return pi == factorial_partition(rho.card)
 
 
+@_on(TOTAL, ANY)
 def char_factorial(rho, pi):
     """pi = [n]! iff b(pi) = b(rho) = n, every [r] <= [n] is a part of pi,
     and all parts of pi are distinct."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     n = rho.card
     if pi.largest != n or rho.largest != n:
         return False
@@ -247,32 +272,25 @@ def factorial_sum(pi):
     return Partition(sorted(counts.items(), reverse=True))
 
 
+@_on(TOTAL, TRIVIAL)
 def same_height_total_trivial(rho, pi):
     """Oracle: the total rho and the trivial pi have equal cardinality."""
-    _check_same_height_domain(rho, pi)
     return rho.card == pi.card
 
 
+@_on(TOTAL, TRIVIAL)
 def char_same_height_total_trivial(rho, pi):
     """rho = [r] and pi = m[1] sit at the same height iff the staircase
     [r]! has exactly m parts."""
-    _check_same_height_domain(rho, pi)
     return factorial_partition(rho.card).length == pi.card
-
-
-def _check_same_height_domain(rho, pi):
-    if not is_total(rho):
-        raise DomainError('rho must be total')
-    if not is_trivial(pi):
-        raise DomainError('pi must be trivial')
 
 
 # ---------------------------------------------------------------------------
 # addition over totals
 
+@_on(TOTAL, TOTAL, TOTAL)
 def add_triple(rho, sigma, pi):
     """Oracle: |rho| + |sigma| = |pi| over total partitions."""
-    _check_totals(rho, sigma, pi)
     return rho.card + sigma.card == pi.card
 
 
@@ -282,6 +300,7 @@ def _add_witness(rho, pi):
     return from_parts(range(rho.card + 1, pi.card + 1))
 
 
+@_on(TOTAL, TOTAL, TOTAL)
 def char_add(rho, sigma, pi):
     """Addition: totals, both summands strictly below pi, and the witness
     filling (|rho|, |pi|] has length exactly |sigma|.
@@ -293,6 +312,7 @@ def char_add(rho, sigma, pi):
     return _char_add(rho, sigma, pi, exact=True)
 
 
+@_on(TOTAL, TOTAL, TOTAL)
 def char_add_geq(rho, sigma, pi):
     """Addition with the weaker length conclusion (witness length at
     least |sigma|); kept for comparison, certifies a superset."""
@@ -300,7 +320,6 @@ def char_add_geq(rho, sigma, pi):
 
 
 def _char_add(rho, sigma, pi, exact):
-    _check_totals(rho, sigma, pi)
     if not (rho != pi and leq(rho, pi) and sigma != pi and leq(sigma, pi)):
         return False
     witness = _add_witness(rho, pi)
@@ -309,13 +328,13 @@ def _char_add(rho, sigma, pi, exact):
     return witness.length >= sigma.card
 
 
+@_on(TOTAL, TOTAL, TOTAL)
 def char_add_sweep(rho, sigma, pi, universe):
     """Literal sweep form of the addition characterization.
 
     Ranges the witness candidate and the membership probe over the whole
     universe; raises when the universe cannot contain the witness.
     """
-    _check_totals(rho, sigma, pi)
     need = sum(range(rho.card + 1, pi.card + 1))
     if universe.max_card < need:
         raise ResourceLimit('need maxCard >= %d for the witness' % need)
@@ -339,27 +358,23 @@ def char_add_sweep(rho, sigma, pi, universe):
     return True
 
 
-def _check_totals(*args):
-    for x in args:
-        if not is_total(x):
-            raise DomainError('arguments must be total partitions')
-
-
 # ---------------------------------------------------------------------------
 # part frequency
 
+@_on(NONEMPTY_TOTAL, NONEMPTY_TOTAL, ANY)
 def part_frequency(rho, sigma, pi):
     """Oracle: the part |rho| appears in pi exactly |sigma| times."""
-    _check_frequency_domain(rho, sigma)
     return pi.multiplicity(rho.card) == sigma.card
 
 
+@_on(NONEMPTY_TOTAL, NONEMPTY_TOTAL, ANY)
 def char_frequency(rho, sigma, pi):
     """Frequency via maximal rectangles, with the gap to the next larger
     part pinned exactly (the tightest probe attains equality)."""
     return _char_frequency(rho, sigma, pi, exact=True)
 
 
+@_on(NONEMPTY_TOTAL, NONEMPTY_TOTAL, ANY)
 def char_frequency_leq(rho, sigma, pi):
     """Frequency with the literal upper-bound conclusion only (n <= m-t);
     kept for comparison, certifies a superset."""
@@ -367,7 +382,6 @@ def char_frequency_leq(rho, sigma, pi):
 
 
 def _char_frequency(rho, sigma, pi, exact):
-    _check_frequency_domain(rho, sigma)
     r, n = rho.card, sigma.card
     # one pass over pi's runs, largest first, keeping their running total:
     # each a in above is max_rectangular_below(size, pi) for a part size
@@ -395,20 +409,12 @@ def _char_frequency(rho, sigma, pi, exact):
     return True
 
 
-def _check_frequency_domain(rho, sigma):
-    if rho.length != 1:
-        raise DomainError('rho must be a nonempty total partition')
-    if sigma.length != 1:
-        raise DomainError('sigma must be a nonempty total partition')
-
-
 # ---------------------------------------------------------------------------
 # height comparison over one total argument
 
+@_on(TOTAL, ANY)
 def height_geq(rho, pi):
     """Oracle: |pi| >= |rho| for total rho."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     return pi.card >= rho.card
 
 
@@ -419,6 +425,7 @@ def _min_constrained_length(pi):
     return sum(max_rectangular_below(r, pi) for r in range(1, pi.largest + 1))
 
 
+@_on(TOTAL, ANY)
 def char_height_geq(rho, pi):
     """|pi| >= |rho| iff every partition satisfying the forced-multiplicity
     conditions has length >= |rho|.
@@ -428,8 +435,6 @@ def char_height_geq(rho, pi):
     the least satisfying length is their sum, attained by factorial_sum;
     the universal quantifier is decided exactly without enumeration.
     """
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     return _min_constrained_length(pi) >= rho.card
 
 
@@ -445,11 +450,10 @@ def satisfies_height_conditions(sigma, pi):
     return True
 
 
+@_on(TOTAL, ANY)
 def char_height_geq_sweep(rho, pi, universe):
     """Literal sweep form: every universe element meeting the conditions
     has length >= |rho|; needs the universe to reach the minimal witness."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     need = factorial_sum(pi).card
     if universe.max_card < need:
         raise ResourceLimit('need maxCard >= %d for the witness' % need)
@@ -459,17 +463,15 @@ def char_height_geq_sweep(rho, pi, universe):
     return True
 
 
+@_on(TOTAL, ANY)
 def height_eq(rho, pi):
     """Oracle: |pi| = |rho| for total rho."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     return pi.card == rho.card
 
 
+@_on(TOTAL, ANY)
 def char_height_eq(rho, pi):
     """|pi| = |rho| iff |pi| >= |rho| but not |pi| >= |rho| + 1."""
-    if not is_total(rho):
-        raise DomainError('rho must be total')
     return (char_height_geq(rho, pi)
             and not char_height_geq(total(rho.card + 1), pi))
 
@@ -477,17 +479,17 @@ def char_height_eq(rho, pi):
 # ---------------------------------------------------------------------------
 # multiplication over totals
 
+@_on(TOTAL, TOTAL, TOTAL)
 def mult_triple(rho, sigma, pi):
     """Oracle: |rho| * |sigma| = |pi| over total partitions."""
-    _check_totals(rho, sigma, pi)
     return rho.card * sigma.card == pi.card
 
 
+@_on(TOTAL, TOTAL, TOTAL)
 def char_mult(rho, sigma, pi):
     """Multiplication: |pi| equals the height of the rectangle with |rho|
     parts of size |sigma|, expressed through the height-equality
     characterization (degenerate rectangles are the empty partition)."""
-    _check_totals(rho, sigma, pi)
     return char_height_eq(pi, rectangle(rho.card, sigma.card))
 
 
@@ -497,56 +499,42 @@ def char_mult(rho, sigma, pi):
 class CharacterizationPair:
     """A named predicate with its oracle and characterization.
 
-    domain holds one candidate function per argument, each mapping a
-    universe to that argument's candidates; the pair is swept over their
-    product, last argument fastest.  bound is the cardinality the standard
-    profile sweeps it to.  boundary(args) returns a reason string when a
-    tuple is an expected boundary case whose mismatch is reported
-    separately instead of counted as a failure.  Informational pairs
-    record alternative readings; their failures do not gate a run.
+    Both declare the same argument kinds, and the pair is swept over the
+    product of their members, last argument fastest; oracle and
+    characterization are kept undecorated, since a swept tuple is in
+    kind.  bound is the cardinality the standard profile sweeps it to.
+    boundary(args) returns a reason string when a tuple is an expected
+    boundary case whose mismatch is reported separately instead of
+    counted as a failure.  Informational pairs record alternative
+    readings; their failures do not gate a run.
     """
 
-    def __init__(self, name, oracle, characterization, domain, bound,
+    def __init__(self, name, oracle, characterization, bound,
                  boundary=None, informational=False, note=''):
         self.name = name
-        self.oracle = oracle
-        self.characterization = characterization
-        self.candidates = domain
+        self.kinds = _kinds(oracle)
+        if _kinds(characterization) != self.kinds:
+            raise ValueError(name + ': the two functions declare other kinds')
+        self.oracle = getattr(oracle, '__wrapped__', oracle)
+        self.characterization = getattr(characterization, '__wrapped__',
+                                        characterization)
         self.bound = bound
         self.boundary = boundary
         self.informational = informational
         self.note = note
 
-    @property
-    def arity(self):
-        return len(self.candidates)
-
     def domain(self, universe):
-        """The argument tuples over universe, in a deterministic order."""
-        return itertools.product(*(each(universe) for each in self.candidates))
+        """The argument tuples over universe, in a deterministic order;
+        each list is checked once, as the undecorated functions are not."""
+        lists = [kind.members(universe) for kind in self.kinds]
+        for kind, members in zip(self.kinds, lists):
+            if not all(map(kind.test, members)):
+                raise DomainError('%s: a member of the %s kind fails its test'
+                                  % (self.name, kind.name))
+        return itertools.product(*lists)
 
     def __repr__(self):
         return 'CharacterizationPair(%r)' % self.name
-
-
-def _each(universe):
-    return universe.elements
-
-
-def _nonempty_totals(universe):
-    return [total(n) for n in range(1, universe.max_card + 1)]
-
-
-def _totals(universe):
-    return [EMPTY] + _nonempty_totals(universe)
-
-
-def _nonempty_trivials(universe):
-    return [rectangle(m, 1) for m in range(1, universe.max_card + 1)]
-
-
-def _trivials(universe):
-    return [EMPTY] + _nonempty_trivials(universe)
 
 
 def _identity_triple(args):
@@ -566,90 +554,82 @@ def _register(pair):
 
 
 _register(CharacterizationPair(
-    'lemma-3.1-total', is_total, char_total, (_each,), bound=25,
+    'lemma-3.1-total', is_total, char_total, bound=25,
     note='total iff the two-rows partition does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.1-trivial', is_trivial, char_trivial, (_each,), bound=25,
+    'lemma-3.1-trivial', is_trivial, char_trivial, bound=25,
     note='trivial iff the single part of size two does not fit'))
 
 _register(CharacterizationPair(
-    'lemma-3.2-rectangular', is_rectangular, char_rectangular, (_each,),
-    bound=25, note='rectangular iff at most one lower cover'))
+    'lemma-3.2-rectangular', is_rectangular, char_rectangular, bound=25,
+    note='rectangular iff at most one lower cover'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-length', length_equals, char_length_equals,
-    (_trivials, _each), bound=20,
+    'lemma-3.4-length', length_equals, char_length_equals, bound=20,
     note='length read off against trivial rectangles'))
 
 _register(CharacterizationPair(
-    'lemma-3.4-bounded-part', bounded_part, char_bounded_part,
-    (_nonempty_totals, _each), bound=20,
+    'lemma-3.4-bounded-part', bounded_part, char_bounded_part, bound=20,
     note='part sizes bounded iff the next total does not fit'))
 
 _register(CharacterizationPair(
     'lemma-3.4-rectangular-triple', rectangular_triple,
-    char_rectangular_triple, (_nonempty_totals, _nonempty_trivials, _each),
-    bound=12,
+    char_rectangular_triple, bound=12,
     note='a rectangle is its largest part, its length, and rectangularity'))
 
 _register(CharacterizationPair(
-    'prop-3.5-distinct', has_distinct_parts, char_distinct_parts, (_each,),
-    bound=20, note='distinctness via maximal rectangles'))
+    'prop-3.5-distinct', has_distinct_parts, char_distinct_parts, bound=20,
+    note='distinctness via maximal rectangles'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-a', is_part_of, char_part_of_a,
-    (_nonempty_totals, _each), bound=18, informational=True,
+    'prop-3.6-part-of-a', is_part_of, char_part_of_a, bound=18,
+    informational=True,
     note='variant A: final relation read as "fits"'))
 
 _register(CharacterizationPair(
-    'prop-3.6-part-of-b', is_part_of, char_part_of_b,
-    (_nonempty_totals, _each), bound=18,
+    'prop-3.6-part-of-b', is_part_of, char_part_of_b, bound=18,
     note='variant B: final relation read as "does not fit"'))
 
 _register(CharacterizationPair(
-    'prop-3.7-factorial', is_factorial, char_factorial,
-    (_totals, _each), bound=15,
+    'prop-3.7-factorial', is_factorial, char_factorial, bound=15,
     note='staircase iff all smaller totals appear, distinctly'))
 
 _register(CharacterizationPair(
     'lemma-3.8-same-height', same_height_total_trivial,
-    char_same_height_total_trivial, (_totals, _trivials), bound=15,
+    char_same_height_total_trivial, bound=15,
     note='equal height read off the length of the staircase witness'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add', add_triple, char_add, (_totals,) * 3, bound=12,
-    boundary=_identity_triple,
+    'prop-3.9-add', add_triple, char_add, bound=12, boundary=_identity_triple,
     note='witness length pinned exactly; see the -geq variant for the '
          'weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.9-add-geq', add_triple, char_add_geq, (_totals,) * 3,
-    bound=12, boundary=_identity_triple, informational=True,
+    'prop-3.9-add-geq', add_triple, char_add_geq, bound=12,
+    boundary=_identity_triple, informational=True,
     note='lower-bound reading: accepts every triple with |rho|+|sigma| <= |pi|'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency', part_frequency, char_frequency,
-    (_nonempty_totals, _nonempty_totals, _each), bound=15,
+    'prop-3.10-frequency', part_frequency, char_frequency, bound=15,
     note='gap to the next larger part pinned exactly; see the -leq variant '
          'for the weaker reading'))
 
 _register(CharacterizationPair(
-    'prop-3.10-frequency-leq', part_frequency, char_frequency_leq,
-    (_nonempty_totals, _nonempty_totals, _each), bound=15, informational=True,
+    'prop-3.10-frequency-leq', part_frequency, char_frequency_leq, bound=15,
+    informational=True,
     note='upper-bound reading: accepts frequencies below the true one'))
 
 _register(CharacterizationPair(
-    'prop-3.11-height-geq', height_geq, char_height_geq,
-    (_totals, _each), bound=12,
+    'prop-3.11-height-geq', height_geq, char_height_geq, bound=12,
     note='support-reduced universal quantifier over constrained partitions'))
 
 _register(CharacterizationPair(
-    'prop-3.12-height-eq', height_eq, char_height_eq,
-    (_totals, _each), bound=12, note='sandwich of two height comparisons'))
+    'prop-3.12-height-eq', height_eq, char_height_eq, bound=12,
+    note='sandwich of two height comparisons'))
 
 _register(CharacterizationPair(
-    'prop-3.13-mult', mult_triple, char_mult, (_totals,) * 3, bound=20,
+    'prop-3.13-mult', mult_triple, char_mult, bound=20,
     note='height equality against the rectangle built from the factors'))
 
 

@@ -1,6 +1,9 @@
 """Oracle/characterization pairs: frozen examples, exhaustive small
 sweeps, boundary behavior, and the reduced-vs-literal cross-checks."""
 
+import inspect
+import itertools
+
 import pytest
 
 from young_defined import catalog as C
@@ -114,7 +117,7 @@ def test_registry_names_and_arities():
     assert len(names) == len(list(C.all_pairs()))
     for pair in C.all_pairs():
         args = next(iter(pair.domain(enumerate_universe(3))))
-        assert len(args) == pair.arity
+        assert len(args) == len(pair.kinds)
 
 
 def test_every_pair_declares_its_bound():
@@ -130,22 +133,94 @@ def test_domain_sweeps_the_last_argument_fastest():
         for sigma in (p('[1]'), p('2[1]')) for pi in universe]
 
 
-# one value just outside each restricted candidate list
-OUTSIDE = {C._totals: p('[1]+[1]'), C._nonempty_totals: EMPTY,
-           C._nonempty_trivials: EMPTY, C._trivials: p('[2]')}
+# values just outside each restricted kind
+OUTSIDE = {C.TOTAL: (p('[1]+[1]'),), C.NONEMPTY_TOTAL: (EMPTY, p('[1]+[1]')),
+           C.NONEMPTY_TRIVIAL: (EMPTY, p('[2]')), C.TRIVIAL: (p('[2]'),)}
 
 
 def test_guards_agree_with_the_declared_domain():
     for pair in C.all_pairs():
+        # the module's public functions, which a direct call reaches
+        public = [getattr(C, fn.__name__)
+                  for fn in (pair.oracle, pair.characterization)]
         valid = next(iter(pair.domain(enumerate_universe(4))))
-        for k, each in enumerate(pair.candidates):
-            if each is C._each:
-                continue
-            args = valid[:k] + (OUTSIDE[each],) + valid[k + 1:]
-            with pytest.raises(C.DomainError):
-                pair.oracle(*args)
-            with pytest.raises(C.DomainError):
-                pair.characterization(*args)
+        for k, kind in enumerate(pair.kinds):
+            for outside in OUTSIDE.get(kind, ()):
+                args = valid[:k] + (outside,) + valid[k + 1:]
+                for fn in public:
+                    with pytest.raises(C.DomainError):
+                        fn(*args)
+
+
+def _candidate_lists(universe):
+    """The argument lists each pair was swept over before it declared
+    kinds, written out: all partitions, (nonempty) totals and (nonempty)
+    trivials, each in ascending cardinality."""
+    each = universe.elements
+    nonempty_totals = [C.total(n) for n in range(1, universe.max_card + 1)]
+    nonempty_trivials = [C.rectangle(m, 1)
+                         for m in range(1, universe.max_card + 1)]
+    totals, trivials = [EMPTY] + nonempty_totals, [EMPTY] + nonempty_trivials
+    return {
+        'lemma-3.1-total': (each,),
+        'lemma-3.1-trivial': (each,),
+        'lemma-3.2-rectangular': (each,),
+        'lemma-3.4-length': (trivials, each),
+        'lemma-3.4-bounded-part': (nonempty_totals, each),
+        'lemma-3.4-rectangular-triple': (nonempty_totals, nonempty_trivials,
+                                         each),
+        'prop-3.5-distinct': (each,),
+        'prop-3.6-part-of-a': (nonempty_totals, each),
+        'prop-3.6-part-of-b': (nonempty_totals, each),
+        'prop-3.7-factorial': (totals, each),
+        'lemma-3.8-same-height': (totals, trivials),
+        'prop-3.9-add': (totals,) * 3,
+        'prop-3.9-add-geq': (totals,) * 3,
+        'prop-3.10-frequency': (nonempty_totals, nonempty_totals, each),
+        'prop-3.10-frequency-leq': (nonempty_totals, nonempty_totals, each),
+        'prop-3.11-height-geq': (totals, each),
+        'prop-3.12-height-eq': (totals, each),
+        'prop-3.13-mult': (totals,) * 3,
+    }
+
+
+def test_domains_are_the_products_of_the_candidate_lists():
+    universe = enumerate_universe(8)
+    lists = _candidate_lists(universe)
+    assert list(lists) == [pair.name for pair in C.all_pairs()]
+    for pair in C.all_pairs():
+        assert list(pair.domain(universe)) == list(
+            itertools.product(*lists[pair.name])), pair.name
+
+
+def test_a_pair_refuses_a_characterization_of_other_kinds():
+    with pytest.raises(ValueError, match='declare other kinds'):
+        C.CharacterizationPair('mixed', C.is_part_of, C.char_factorial,
+                               bound=8)
+    with pytest.raises(ValueError, match='declare other kinds'):
+        C.CharacterizationPair('mixed', C.height_geq, C.char_total, bound=8)
+
+
+def test_pairs_sweep_the_undecorated_functions():
+    pair = C.get_pair('prop-3.9-add')
+    assert pair.oracle is inspect.unwrap(C.add_triple)
+    assert pair.characterization is inspect.unwrap(C.char_add)
+    assert pair.kinds == C.add_triple.kinds == (C.TOTAL,) * 3
+    # so the sweep checks the members instead, once per list
+    stray = C.Kind('total', C.is_total, lambda universe: universe.elements)
+    guarded = C._on(stray, C.ANY)(lambda rho, pi: True)
+    loose = C.CharacterizationPair('loose', guarded, guarded, bound=3)
+    with pytest.raises(C.DomainError, match='loose: a member of the total'):
+        list(loose.domain(enumerate_universe(3)))
+
+
+def test_a_direct_call_names_the_function_argument_and_kind():
+    with pytest.raises(C.DomainError, match=r"^part_frequency: sigma must be "
+                       r"a nonempty total partition, got Partition\('0'\)$"):
+        C.part_frequency(p('[1]'), EMPTY, p('[3]'))
+    with pytest.raises(C.DomainError, match='^length_equals: rho must be a '
+                       'trivial partition'):
+        C.length_equals(p('[2]'), p('[3]'))
 
 
 def test_get_pair_unknown():
@@ -172,7 +247,7 @@ def test_primary_pairs_have_no_mismatches():
     for pair in C.all_pairs():
         if pair.informational:
             continue
-        bound = 8 if pair.arity == 3 else 10
+        bound = 8 if len(pair.kinds) == 3 else 10
         mismatches, _ = sweep(pair, enumerate_universe(bound))
         assert mismatches == [], (pair.name, mismatches[:3])
 
@@ -182,7 +257,7 @@ def test_informational_pairs_do_mismatch():
     for name in ('prop-3.6-part-of-a', 'prop-3.9-add-geq',
                  'prop-3.10-frequency-leq'):
         pair = C.get_pair(name)
-        bound = 8 if pair.arity == 3 else 10
+        bound = 8 if len(pair.kinds) == 3 else 10
         mismatches, _ = sweep(pair, enumerate_universe(bound))
         assert mismatches, name
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from young_defined import cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs, get_pair
 from young_defined.partitions import (Universe, enumerate_level,
-                                      enumerate_universe, lower_covers,
+                                      enumerate_universe, leq, lower_covers,
                                       parse_partition, render)
 
 
@@ -472,6 +472,78 @@ def test_arithmetization_report():
     assert report.total_checked > 10 ** 4
 
 
+def _arithmetization_problems():
+    """The problems the suite finds at a small bound where it checks 136
+    tuples: 12 partitions, 21 integers, 49 order pairs, 54 bridge."""
+    report = harness.arithmetization_report(4, 20, 3, 2)
+    assert report.total_checked == 136
+    assert report.mismatch_count == len(report.witnesses)
+    return [dict(w) for w in report.witnesses]
+
+
+def test_arithmetization_report_passes_at_the_small_bound():
+    assert _arithmetization_problems() == []
+
+
+def test_arithmetization_report_names_a_moved_decode(monkeypatch):
+    decode = harness.decode
+    monkeypatch.setattr(harness, 'decode',
+                        lambda n: partitions.EMPTY if n == 5 else decode(n))
+    assert decode(5) == parse_partition('[3]')
+    assert _arithmetization_problems() == [
+        {'problem': 'decode(encode) moved', 'arg': '[3]'},
+        {'problem': 'encode(decode) moved', 'arg': 5}]
+
+
+def test_arithmetization_report_names_an_encode_collision(monkeypatch):
+    # [3]+[1] is given the code of 2[2]; neither is among the order pairs
+    encode = harness.encode
+    moved, target = parse_partition('[3]+[1]'), parse_partition('2[2]')
+    monkeypatch.setattr(harness, 'encode', lambda sigma: encode(
+        target if sigma == moved else sigma))
+    assert encode(moved) == 10
+    assert _arithmetization_problems() == [
+        {'problem': 'decode(encode) moved', 'arg': '[3]+[1]'},
+        {'problem': 'encode collision', 'args': ['2[2]', '[3]+[1]']},
+        {'problem': 'encode(decode) moved', 'arg': 10}]
+
+
+def test_arithmetization_report_names_each_order_disagreement(monkeypatch):
+    ord_via_encoding = harness.ord_via_encoding
+    monkeypatch.setattr(harness, 'ord_via_encoding',
+                        lambda a, b: ord_via_encoding(b, a))
+    small = enumerate_universe(3).elements
+    strict = [(a, b) for a in small for b in small if leq(a, b) != leq(b, a)]
+    problems = _arithmetization_problems()
+    assert len(strict) == 30
+    assert problems == [{'problem': 'order disagreement',
+                         'args': [render(a), render(b)]} for a, b in strict]
+
+
+BRIDGE_TRIPLES = list(itertools.product(range(3), repeat=3))
+
+
+def test_arithmetization_report_names_each_addition_mismatch(monkeypatch):
+    # the addition oracle read as <=, which the bridge holds to m + n == r
+    monkeypatch.setattr(get_pair('prop-3.9-add'), 'oracle',
+                        lambda rho, sigma, pi: rho.card + sigma.card <= pi.card)
+    problems = _arithmetization_problems()
+    assert len(problems) == 4
+    assert problems == [{'problem': 'addition bridge', 'args': [m, n, r]}
+                        for m, n, r in BRIDGE_TRIPLES if m + n < r]
+
+
+def test_arithmetization_report_names_each_product_mismatch(monkeypatch):
+    # the multiplication oracle read as addition
+    monkeypatch.setattr(get_pair('prop-3.13-mult'), 'oracle',
+                        lambda rho, sigma, pi: rho.card + sigma.card == pi.card)
+    problems = _arithmetization_problems()
+    assert len(problems) == 12
+    assert problems == [{'problem': 'multiplication bridge', 'args': [m, n, r]}
+                        for m, n, r in BRIDGE_TRIPLES
+                        if (m + n == r) != (m * n == r)]
+
+
 # --- the aggregate
 
 def test_check_all_quick_profile():
@@ -519,14 +591,23 @@ def test_check_all_quick_matches_the_recorded_report(capsys):
     assert elapsed.sub('', capsys.readouterr().out) == elapsed.sub('', recorded)
 
 
-def test_check_all_standard_matches_the_recorded_digest(capsys):
-    # the sha256 of the standard report without its elapsedSeconds lines;
-    # a change that alters the standard report must re-record it
-    assert run_cli('check-all', '--profile', 'standard', '--json') == 0
+def _report_digest(capsys, profile):
+    """The sha256 of a check-all JSON report without its elapsedSeconds
+    lines; a change that alters a report must re-record its digest."""
+    assert run_cli('check-all', '--profile', profile, '--json') == 0
     kept = [line for line in capsys.readouterr().out.splitlines(keepends=True)
             if '"elapsedSeconds"' not in line]
-    assert hashlib.sha256(''.join(kept).encode()).hexdigest() == (
+    return hashlib.sha256(''.join(kept).encode()).hexdigest()
+
+
+def test_check_all_standard_matches_the_recorded_digest(capsys):
+    assert _report_digest(capsys, 'standard') == (
         'a1787fd2dd68d3e78e94c54ce8cb33aba6c139abb604f15541aa33fa084b1e4a')
+
+
+def test_check_all_thorough_matches_the_recorded_digest(capsys):
+    assert _report_digest(capsys, 'thorough') == (
+        '790e2b9b6e2931c007d9e98a55b2c3bb3db99f6c0c241d6ee82f35acf1775270')
 
 
 def test_check_all_human_output_times_each_suite(capsys):
@@ -564,6 +645,14 @@ def test_cli_check_prop_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc['verdict'] == 'pass'
     assert doc['schema'] == 'young-defined/1'
+
+
+def test_cli_check_prop_prints_the_boundary_line(capsys):
+    assert run_cli('check-prop', 'prop-3.9-add', '--max-card', '6') == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith('prop-3.9-add ') and 'PASS' in lines[0]
+    assert lines[1:] == [
+        '  (13 expected boundary tuples reported separately)']
 
 
 def test_cli_check_prop_failure_exit_code(capsys):

@@ -13,9 +13,9 @@ import traceback
 
 from . import formulas, harness
 from .arithmetization import decode, encode
-from .catalog import DomainError, all_pairs
-from .partitions import (PartitionError, ResourceLimit, enumerate_universe,
-                         parse_partition, partition_count, render)
+from .catalog import all_pairs
+from .partitions import (ResourceLimit, enumerate_universe, parse_partition,
+                         partition_count, render)
 
 
 def _cmd_enumerate(args):
@@ -100,6 +100,12 @@ def _cmd_eval(args):
         if name.strip() in assignment:
             raise harness.UsageError('--assign gives %r twice' % name.strip())
         assignment[name.strip()] = parse_partition(literal)
+    free = formulas.free_vars(formula)
+    stray = sorted(set(assignment) - free)
+    if stray:
+        raise harness.UsageError(
+            '--assign gives %s, not free in the formula (free: %s)'
+            % (', '.join(stray), ', '.join(sorted(free)) or 'none'))
     universe = enumerate_universe(args.max_card + args.slack)
     config = formulas.EvalConfig(args.max_card, args.slack)
     value = formulas.evaluate(formula, assignment, universe, config)
@@ -182,9 +188,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (harness.UsageError, formulas.ParseError, formulas.EvalError,
-            DomainError, PartitionError, ResourceLimit, OSError,
-            ValueError) as exc:
+    except (ValueError, ResourceLimit, OSError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -34,7 +34,7 @@ import re
 from .partitions import leq, parse_partition, render
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Syntax error with position information."""
 
     def __init__(self, message, line=None, col=None):
@@ -45,7 +45,7 @@ class ParseError(Exception):
         self.col = col
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     """Unassigned free variable, arity mismatch, or insufficient universe."""
 
 

@@ -7,7 +7,6 @@ but every count is exact.  Reports are byte-deterministic for the same
 inputs except for the elapsed-seconds field.
 """
 
-import functools
 import json
 import re
 import time
@@ -24,7 +23,7 @@ SCHEMA = 'young-defined/1'
 WITNESS_CAP = 100
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad input: unknown name, malformed file, out-of-range bound."""
 
 
@@ -335,36 +334,26 @@ def embed_poset(poset, max_card):
     """An injective map into the partitions of cardinality <= max_card
     that preserves and reflects the strict order, or None.
 
-    Backtracking assigns poset elements in depth order; candidate images
-    are tried in enumeration order (cardinality, then level index) with
-    forward checking on the remaining candidates.  None means no
-    embedding exists within this truncation — it says nothing about the
-    unbounded order.
+    Backtracking assigns poset elements in depth order, ties as declared;
+    candidate images are tried in enumeration order (cardinality, then
+    level index) with forward checking on the remaining candidates.  None
+    means no embedding exists within this truncation — it says nothing
+    about the unbounded order.
     """
     universe = enumerate_universe(max_card)
-    m = len(universe.elements)
-    full = (1 << m) - 1
-    down = universe.down_bits()
-    up = [mask << o for o, mask in enumerate(universe.up_bits())]
-    strict_up = [up[o] & ~(1 << o) for o in range(m)]
-    incomparable = [full & ~(down[o] | up[o]) for o in range(m)]
-
-    @functools.cache
-    def depth(e):
-        below = [a for a, b in poset.less if b == e]
-        if not below:
-            return 0
-        return 1 + max(depth(a) for a in below)
-
-    order = sorted(poset.elements,
-                   key=lambda e: (depth(e), poset.elements.index(e)))
-    index = {e: i for i, e in enumerate(order)}
+    down, up = universe.down_bits(), universe.up_bits()
+    below = {e: [a for a in poset.elements if (a, e) in poset.less]
+             for e in poset.elements}
+    # an element has more elements below it than any element below it
+    # has, so this pass reaches each one after all those below it
+    depth = {}
+    for e in sorted(poset.elements, key=lambda e: len(below[e])):
+        depth[e] = 1 + max((depth[a] for a in below[e]), default=-1)
+    order = sorted(poset.elements, key=depth.get)
     # in depth order no element is below one placed before it, so a later
     # element's image is either strictly above or incomparable to this
     # one's; neither mask holds this image, so the images stay distinct
-    narrow = [[strict_up if (a, b) in poset.less else incomparable
-               for b in order] for a in order]
-
+    less = [[(a, b) in poset.less for b in order] for a in order]
     images = [None] * len(order)
 
     def extend(i, candidates):
@@ -375,10 +364,12 @@ def embed_poset(poset, max_card):
             low = mask & -mask
             mask ^= low
             u = low.bit_length() - 1
+            above = up[u] << u
+            strictly_above, incomparable = above ^ low, ~(down[u] | above)
             narrowed = list(candidates)
             ok = True
             for j in range(i + 1, len(order)):
-                narrowed[j] &= narrow[i][j][u]
+                narrowed[j] &= strictly_above if less[i][j] else incomparable
                 if narrowed[j] == 0:
                     ok = False
                     break
@@ -389,9 +380,9 @@ def embed_poset(poset, max_card):
                 images[i] = None
         return False
 
-    if not extend(0, [full] * len(order)):
+    if not extend(0, [(1 << len(universe.elements)) - 1] * len(order)):
         return None
-    mapping = {e: universe.elements[images[index[e]]] for e in poset.elements}
+    mapping = {e: universe.elements[u] for e, u in zip(order, images)}
     verify_embedding(poset, mapping)
     return mapping
 

@@ -504,8 +504,11 @@ def parse_partition(text):
         inner = text[1:-1].strip()
         if not inner:
             return EMPTY
+        tokens = inner.split(',')
+        if not tokens[-1].strip():      # one trailing comma, as in (3,)
+            tokens.pop()
         try:
-            parts = [int(tok.strip()) for tok in inner.split(',') if tok.strip() != '']
+            parts = [int(tok) for tok in tokens]
         except ValueError:
             raise PartitionError('bad tuple form: %r' % text)
         return from_parts(parts)

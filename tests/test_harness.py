@@ -7,6 +7,7 @@ import json
 import pathlib
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from young_defined import cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs, get_pair
-from young_defined.partitions import (Universe, enumerate_level,
-                                      enumerate_universe, leq, lower_covers,
-                                      parse_partition, render)
+from young_defined.partitions import (Universe, bit_cache_bytes,
+                                      enumerate_level, enumerate_universe, leq,
+                                      lower_covers, parse_partition, render)
 
 
 # --- reports
@@ -306,6 +307,39 @@ def test_embed_crown():
 
 def test_embed_not_found_when_the_bound_is_too_low():
     assert harness.embed_poset(harness.FinitePoset.antichain(8), 4) is None
+
+
+def test_embed_poset_needs_little_beyond_the_two_bit_caches():
+    universe = enumerate_universe(20)    # the level tables, built once
+    tracemalloc.start()
+    try:
+        harness.embed_poset(harness.FinitePoset.crown(), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * bit_cache_bytes(len(universe))
+
+
+def test_embed_places_elements_by_depth():
+    names = ['p%d' % i for i in range(5)]
+    poset = harness.FinitePoset(names, [('p0', 'p2'), ('p0', 'p3'), ('p0', 'p4'),
+                                        ('p1', 'p2'), ('p1', 'p3')])
+    mapping = harness.embed_poset(poset, 4)
+    # p4 has one element below it and p2, p3 two, but all three have
+    # depth 1: placed before p2 and p3, p4 would take [3]
+    assert {e: render(pi) for e, pi in mapping.items()} == {
+        'p0': '[2]', 'p1': '2[1]', 'p2': '[3]+[1]', 'p3': '2[2]', 'p4': '[4]'}
+
+
+@pytest.mark.parametrize('poset, max_card, top_first', [
+    (harness.FinitePoset.chain(5), 6, ['e5', 'e4', 'e3', 'e2', 'e1']),
+    (harness.FinitePoset.crown(), 8, ['c', 'd', 'a', 'b'])],
+    ids=['chain-5', '2-crown'])
+def test_embed_ignores_the_declaration_order_across_depths(poset, max_card,
+                                                           top_first):
+    top_down = harness.FinitePoset(top_first, poset.less)
+    assert (harness.embed_poset(top_down, max_card)
+            == harness.embed_poset(poset, max_card))
 
 
 def test_verify_embedding_rejects_bad_maps():
@@ -684,6 +718,12 @@ def test_cli_eval(tmp_path, capsys):
     assert run_cli('eval', '--formula', str(path), '--assign', 'x=[1]',
                    '--assign', 'x = [2]', '--max-card', '6') == 2
     assert "--assign gives 'x' twice" in capsys.readouterr().err
+    stray = tmp_path / 'stray.fol'
+    stray.write_text('x <= y\n')
+    assert run_cli('eval', '--formula', str(stray), '--assign', 'x=[1]',
+                   '--assign', 'z=[2]', '--max-card', '4') == 2
+    assert ('--assign gives z, not free in the formula (free: x, y)'
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize('text', ['(' * 3000 + 'x <= x' + ')' * 3000,
@@ -706,6 +746,17 @@ def test_cli_internal_error_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli('eval', '--formula', str(path), '--assign', 'x=[1]',
                    '--max-card', '3') == 2
     assert 'internal error: RuntimeError: boom' in capsys.readouterr().err
+
+
+def test_every_error_class_exits_2_as_an_input_error():
+    from young_defined import arithmetization, catalog
+    modules = (arithmetization, catalog, cli, formulas, harness, partitions)
+    errors = [value for module in modules for value in vars(module).values()
+              if isinstance(value, type) and issubclass(value, BaseException)
+              and value.__module__ == module.__name__]
+    assert len(errors) == 6
+    for error in errors:
+        assert issubclass(error, (ValueError, partitions.ResourceLimit)), error
 
 
 def test_cli_eval_missing_file(capsys):

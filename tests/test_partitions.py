@@ -560,6 +560,8 @@ def test_parse_tolerates_unsorted_and_repeated_terms():
 
 
 def test_parse_rejects_garbage():
-    for text in ['', '[0]', '0[2]', 'x', '[1]+', '[1]-[1]', '(1,x)']:
+    # an empty item in the tuple form is refused, a trailing comma is not
+    for text in ['', '[0]', '0[2]', 'x', '[1]+', '[1]-[1]', '(1,x)',
+                 '(1,,2)', '(,3)', '(3,,)', '(,)']:
         with pytest.raises(PartitionError):
             parse_partition(text)

@@ -12,7 +12,10 @@ totalize.  Those guards depend on the argument alone, never on what an
 earlier call happened to compute.
 """
 
-from math import isqrt, log
+from array import array
+from itertools import compress, islice
+from math import isqrt, log, prod
+from operator import not_
 
 from .partitions import EMPTY, Partition, ResourceLimit, leq
 
@@ -39,7 +42,7 @@ _large_index = {}
 
 def _tables():
     """The factor table up to _SPF_LIMIT and the ascending primes in it,
-    built once on first use.
+    built once on first use as two int32 arrays (about 4 MB).
 
     table[n] is the smallest prime factor of a composite n, and minus
     the 1-based index of a prime n, so one lookup answers both what
@@ -47,12 +50,14 @@ def _tables():
     """
     global _spf, _primes
     if _spf is None:
-        table = [0] * (_SPF_LIMIT + 1)
+        table = array('i', [0]) * (_SPF_LIMIT + 1)
         # descending, so each multiple keeps its smallest prime factor
         for p in range(isqrt(_SPF_LIMIT), 1, -1):
             if all(p % q for q in range(2, isqrt(p) + 1)):
-                table[p * p::p] = [p] * len(range(p * p, _SPF_LIMIT + 1, p))
-        primes = [n for n in range(2, _SPF_LIMIT + 1) if not table[n]]
+                count = len(range(p * p, _SPF_LIMIT + 1, p))
+                table[p * p::p] = array('i', [p]) * count
+        primes = array('i', compress(range(2, _SPF_LIMIT + 1),
+                                     map(not_, islice(table, 2, None))))
         for i, p in enumerate(primes, 1):
             table[p] = -i
         _spf, _primes = table, primes
@@ -156,9 +161,12 @@ def encode(sigma):
     if sigma.runs[0][0] == 1:
         return 2 ** (sigma.runs[0][1] - 1)
     primes = _primes or _tables()[1]
+    # runs descend, so every part lies in the table when the largest does
+    if sigma.largest > len(primes):
+        return prod(nth_prime(n) ** m for n, m in sigma.runs)
     value = 1
     for n, m in sigma.runs:
-        value *= (primes[n - 1] if n <= len(primes) else nth_prime(n)) ** m
+        value *= primes[n - 1] ** m
     return value
 
 
@@ -201,20 +209,22 @@ def decode(n):
         runs = _runs(n)
         card, length = sum(i * e for i, e in runs), sum(e for _, e in runs)
     else:
-        table, runs = _spf or _tables()[0], []
-        card = length = 0
-        while n > 1:
-            p = table[n]
-            if p < 0:                   # n is the (-p)-th prime
-                i, e, n = -p, 1, 1
-            else:
-                i, e, n = -table[p], 1, n // p
-                while n % p == 0:
-                    n //= p
-                    e += 1
+        table = _spf or _tables()[0]
+        e = (n & -n).bit_length() - 1   # 2 divides n exactly e times
+        runs, card, length, n = [(1, e)] if e else [], e, e, n >> e
+        p = table[n]
+        while p > 0:                    # p is the smallest prime factor
+            i, e, n = -table[p], 1, n // p
+            while n % p == 0:
+                n //= p
+                e += 1
             runs.append((i, e))
             card += i * e
             length += e
+            p = table[n]
+        if p:                           # the cofactor is the (-p)-th prime
+            runs.append((-p, 1))
+            card, length = card - p, length + 1
     # ascending by prime, so the reverse is canonical and needs no checks
     runs.reverse()
     return Partition._canonical(tuple(runs), card, length)

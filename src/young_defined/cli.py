@@ -115,7 +115,17 @@ def _cmd_eval(args):
 
 
 def _cmd_encode(args):
-    print(encode(parse_partition(args.partition)))
+    code = encode(parse_partition(args.partition))
+    # print every digit: since 3.10.7, str() of an int is capped (at 4300
+    # digits by default) unless the cap is set to 0, which lifts it
+    limit = getattr(sys, 'get_int_max_str_digits', int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(code)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

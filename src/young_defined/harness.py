@@ -542,8 +542,8 @@ def arithmetization_report(max_card, integer_ceiling, pair_card, bridge_bound):
             mismatches.append({'problem': 'encode collision',
                                'args': [render(sigma), render(seen[code])]})
         seen[code] = sigma
+    total_checked += integer_ceiling + 1
     for n in range(integer_ceiling + 1):
-        total_checked += 1
         if encode(decode(n)) != n:
             mismatches.append({'problem': 'encode(decode) moved', 'arg': n})
     small = enumerate_universe(pair_card).elements

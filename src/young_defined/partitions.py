@@ -47,10 +47,11 @@ class Partition:
 
     runs is a tuple of (size, mult) pairs, sizes strictly decreasing.
     cardinality, length and largest part are computed once and cached,
-    since the harness consults them in every inner loop.
+    since the harness consults them in every inner loop; the hash is not
+    cached, but computed from runs on each call.
     """
 
-    __slots__ = ('runs', 'card', 'length', 'largest', '_hash')
+    __slots__ = ('runs', 'card', 'length', 'largest')
 
     def __init__(self, runs):
         # one pass over any iterable of pairs: validate, accumulate, copy
@@ -73,7 +74,6 @@ class Partition:
         self.card = card
         self.length = length
         self.largest = runs[0][0] if runs else 0
-        self._hash = hash(runs)
 
     @classmethod
     def _canonical(cls, runs, card, length):
@@ -81,7 +81,7 @@ class Partition:
         nothing, as runs is non-empty, canonical, of that card and length."""
         self = object.__new__(cls)
         self.runs, self.card, self.length = runs, card, length
-        self.largest, self._hash = runs[0][0], hash(runs)
+        self.largest = runs[0][0]
         return self
 
     def parts(self):
@@ -107,7 +107,7 @@ class Partition:
         return isinstance(other, Partition) and self.runs == other.runs
 
     def __hash__(self):
-        return self._hash
+        return hash(self.runs)
 
     def __repr__(self):
         return 'Partition(%r)' % render(self)

@@ -3,6 +3,8 @@
 import bisect
 import itertools
 import random
+import tracemalloc
+from array import array
 from math import isqrt
 
 import pytest
@@ -172,6 +174,45 @@ def test_codes_and_prime_indices_must_be_ints(call):
         call()
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """_tables, to be built anew; the module's tables return afterwards."""
+    monkeypatch.setattr(A, '_spf', None)
+    monkeypatch.setattr(A, '_primes', None)
+    return A._tables
+
+
+def test_factor_table_matches_an_independent_sieve(fresh_tables):
+    table, primes = fresh_tables()
+    limit = 10 ** 6
+    # ascending, each multiple keeping the first prime that reaches it
+    spf = [0] * (limit + 1)
+    for q in range(2, isqrt(limit) + 1):
+        if not spf[q]:
+            for m in range(q * q, limit + 1, q):
+                if not spf[m]:
+                    spf[m] = q
+    want = [n for n in range(2, limit + 1) if not spf[n]]
+    assert len(want) == 78498 and want[-1] == 999983
+    assert primes == array('i', want)       # an int32 array, not a list
+    for i, q in enumerate(want, 1):
+        spf[q] = -i
+    assert table[0] == table[1] == 0
+    assert table == array('i', spf)
+
+
+def test_factor_tables_are_two_compact_arrays(fresh_tables):
+    # 10^6 int32 entries take 4 MB, where a list of boxed ints takes 13 MB
+    tracemalloc.start()
+    try:
+        fresh_tables()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 * 2 ** 20, held
+    assert peak <= 7 * 2 ** 20, peak
+
+
 def _trusted_products(decode, enumerate_level):
     """What decode and enumerate_level build through the trusted
     constructor: every partition of levels <= 25, decode(n) for n <= 10^5,
@@ -185,10 +226,14 @@ def _trusted_products(decode, enumerate_level):
 
 
 def _assert_slots_as_validated(partitions):
+    index = enumerate_universe(12).index
     for pi in partitions:
         rebuilt = Partition(pi.runs)
         for slot in Partition.__slots__:
             assert getattr(pi, slot) == getattr(rebuilt, slot), (pi.runs, slot)
+        # the hash is computed on each call, not kept in a slot
+        assert hash(pi) == hash(rebuilt), pi.runs
+        assert pi.card > 12 or index.get(pi) == index[rebuilt], pi.runs
 
 
 def test_trusted_partitions_equal_validated_ones():

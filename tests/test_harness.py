@@ -1,11 +1,13 @@
 """Certification harness: reports, variant resolution, reconstruction,
 automorphisms, poset embedding, corpus and aggregate runs, CLI."""
 
+import decimal
 import hashlib
 import itertools
 import json
 import pathlib
 import re
+import sys
 import time
 import tracemalloc
 
@@ -795,6 +797,15 @@ def test_cli_encode_decode_roundtrip(capsys):
     assert code == '50'
     assert run_cli('decode', code) == 0
     assert capsys.readouterr().out.strip() == render(parse_partition('2[3]+[1]'))
+    # 2^19999 has 6,021 digits, past str()'s default cap of 4,300
+    limit = getattr(sys, 'get_int_max_str_digits', int)()
+    assert run_cli('encode', '20000[1]') == 0
+    out = capsys.readouterr().out.strip()
+    with decimal.localcontext() as context:
+        context.prec = 7000
+        assert decimal.Decimal(out) == decimal.Decimal(2) ** 19999
+    assert len(out) == 6021
+    assert getattr(sys, 'get_int_max_str_digits', int)() == limit
 
 
 def test_cli_reconstruct_and_automorphisms(capsys):

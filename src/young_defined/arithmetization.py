@@ -27,13 +27,13 @@ DECODE_CEILING = 10 ** 9
 PRIME_INDEX_CEILING = 50847534
 # totalize refuses to build totals taller than this
 TOTALIZE_CEILING = 10 ** 12
-# up to this, factors and prime indices come from one table lookup;
+# up to this, factors and prime indices come from table lookups;
 # above it, a prime's index is counted with _prime_count
 _SPF_LIMIT = 10 ** 6
 # width of the segments _kth_prime_after sieves
 _SEGMENT = 1 << 18
 
-_spf = None
+_wheel = None
 _primes = None
 # (index, prime) pairs above the table, both ways round, as counted
 _large_prime = {}
@@ -41,27 +41,43 @@ _large_index = {}
 
 
 def _tables():
-    """The factor table up to _SPF_LIMIT and the ascending primes in it,
-    built once on first use as two int32 arrays (about 4 MB).
+    """The factor table of the n <= _SPF_LIMIT prime to 6 and the
+    ascending primes up to _SPF_LIMIT, built once on first use as two
+    int32 arrays (1.3 MB and 0.3 MB).
 
-    table[n] is the smallest prime factor of a composite n, and minus
-    the 1-based index of a prime n, so one lookup answers both what
-    divides n and which prime it is.
+    table[n // 3] is 0 for n = 1, minus the 1-based index of a prime n,
+    and for a composite n with smallest prime factor p to the power e,
+    index(p) << 23 | e << 18 | (n / p^e) // 3: the next entry to read.
+    The fields fit, as index(p) <= 168, e <= 8 and (n / p^e) // 3 < 2^18.
+    The n prime to 6 are 1, 5, 7, 11, ..., 999997, at 0, 1, 2, 3, ...
     """
-    global _spf, _primes
-    if _spf is None:
-        table = array('i', [0]) * (_SPF_LIMIT + 1)
-        # descending, so each multiple keeps its smallest prime factor
-        for p in range(isqrt(_SPF_LIMIT), 1, -1):
-            if all(p % q for q in range(2, isqrt(p) + 1)):
-                count = len(range(p * p, _SPF_LIMIT + 1, p))
-                table[p * p::p] = array('i', [p]) * count
-        primes = array('i', compress(range(2, _SPF_LIMIT + 1),
-                                     map(not_, islice(table, 2, None))))
-        for i, p in enumerate(primes, 1):
-            table[p] = -i
-        _spf, _primes = table, primes
-    return _spf, _primes
+    global _wheel, _primes
+    if _wheel is None:
+        size = _SPF_LIMIT // 3
+        table = array('i', [0]) * size
+        small = [p for p in range(5, isqrt(_SPF_LIMIT) + 1)
+                 if all(p % q for q in range(2, isqrt(p) + 1))]
+        # descending, so each composite keeps its smallest prime factor;
+        # exponents ascending, so it keeps that factor's exact exponent
+        for i, p in reversed(list(enumerate(small, 3))):
+            q, e = p, 1
+            while q <= _SPF_LIMIT:
+                # cofactors m = r mod 6; from p up when e = 1, so p is unmarked
+                for r in (1, 5):
+                    m = r if e > 1 else p + (r - p) % 6
+                    start, step = q * m // 3, 2 * q
+                    head = i << 23 | e << 18 | m // 3
+                    count = len(range(start, size, step))
+                    table[start::step] = array(
+                        'i', range(head, head + 2 * count, 2))
+                q, e = q * p, e + 1
+        primes = array('i', [2, 3])
+        primes.extend(3 * k + 1 + (k & 1) for k in compress(
+            range(1, size), map(not_, islice(table, 1, None))))
+        for i, p in enumerate(islice(primes, 2, None), 3):
+            table[p // 3] = -i
+        _wheel, _primes = table, primes
+    return _wheel, _primes
 
 
 def _prime_count(x):
@@ -144,7 +160,9 @@ def nth_prime(i):
 def _index_of_prime(p):
     """The 1-based index of a prime p <= DECODE_CEILING."""
     if p <= _SPF_LIMIT:
-        return -_tables()[0][p]
+        table, primes = _tables()
+        # 2 and 3 are not in the table
+        return primes.index(p) + 1 if p < 5 else -table[p // 3]
     if p not in _large_index:
         _remember(_prime_count(p), p)
     return _large_index[p]
@@ -176,8 +194,7 @@ def _runs(n):
     if n > DECODE_CEILING:
         raise ResourceLimit('decode ceiling %d exceeded: %d' % (DECODE_CEILING, n))
     runs = []
-    table = _spf or _tables()[0]
-    for p in _primes:
+    for i, p in enumerate(_primes or _tables()[1], 1):
         if p * p > n:
             break
         if n % p == 0:
@@ -185,7 +202,7 @@ def _runs(n):
             while n % p == 0:
                 n //= p
                 e += 1
-            runs.append((-table[p], e))
+            runs.append((i, e))
     if n > 1:
         runs.append((_index_of_prime(n), 1))
     return runs
@@ -209,22 +226,26 @@ def decode(n):
         runs = _runs(n)
         card, length = sum(i * e for i, e in runs), sum(e for _, e in runs)
     else:
-        table = _spf or _tables()[0]
+        table = _wheel or _tables()[0]
         e = (n & -n).bit_length() - 1   # 2 divides n exactly e times
         runs, card, length, n = [(1, e)] if e else [], e, e, n >> e
-        p = table[n]
-        while p > 0:                    # p is the smallest prime factor
-            i, e, n = -table[p], 1, n // p
-            while n % p == 0:
-                n //= p
+        if n % 3 == 0:                  # the table holds only n prime to 6
+            e = 0
+            while n % 3 == 0:
+                n //= 3
                 e += 1
+            runs.append((2, e))
+            card, length = card + 2 * e, length + e
+        entry = table[n // 3]
+        while entry > 0:                # the smallest prime factor's run
+            i, e = entry >> 23, entry >> 18 & 31
             runs.append((i, e))
             card += i * e
             length += e
-            p = table[n]
-        if p:                           # the cofactor is the (-p)-th prime
-            runs.append((-p, 1))
-            card, length = card - p, length + 1
+            entry = table[entry & 0x3FFFF]
+        if entry:                       # the cofactor is the (-entry)-th prime
+            runs.append((-entry, 1))
+            card, length = card - entry, length + 1
     # ascending by prime, so the reverse is canonical and needs no checks
     runs.reverse()
     return Partition._canonical(tuple(runs), card, length)

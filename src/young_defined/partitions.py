@@ -262,9 +262,12 @@ def enumerate_level(n):
     """
     if n == 0:
         return (Partition(()),)
-    return tuple(Partition._canonical(((s, m),) + t.runs, n, m + t.length)
-                 for s, m, r in _blocks(n)
-                 for t in _suffix(enumerate_level(r), s))
+    level = []
+    for s, m, r in _blocks(n):
+        head = ((s, m),)                # one run object for the whole block
+        level.extend(Partition._canonical(head + t.runs, n, m + t.length)
+                     for t in _suffix(enumerate_level(r), s))
+    return tuple(level)
 
 
 class Universe:

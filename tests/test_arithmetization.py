@@ -142,12 +142,23 @@ def test_decode_reads_the_factorization_as_runs():
     # counted rather than read from the table
     above = [rng.randrange(10 ** 6 + 1, limit) for _ in range(10)]
     above += [k * q for k, q in enumerate(primes[78498:78508], 1)]
-    for n in list(range(2, 5001)) + above:
+    # and the codes on either side of the table's end
+    ends = range(10 ** 6 - 100, 10 ** 6 + 101)
+    for n in list(range(2, 5001)) + list(ends) + above:
         if n & (n - 1) == 0:        # 2^k codes the trivial (k+1)[1]
             want = ((1, n.bit_length()),)
         else:
             want = _factorization_runs(n, primes)
         assert A.decode(n).runs == want, n
+
+
+def test_decode_above_the_table_indexes_2_3_and_the_table_primes():
+    # the cofactor left after dividing by the primes up to its square
+    # root is 3, which the table does not hold, or a prime the table does
+    assert A.decode(3 * 2 ** 19).runs == ((2, 1), (1, 19))
+    assert A.decode(2 * 999983).runs == ((78498, 1), (1, 1))
+    assert A.decode(5 ** 9).runs == ((3, 9),)
+    assert A.decode(3 ** 13).runs == ((2, 13),)
 
 
 def test_decode_does_not_depend_on_earlier_calls():
@@ -177,7 +188,7 @@ def test_codes_and_prime_indices_must_be_ints(call):
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """_tables, to be built anew; the module's tables return afterwards."""
-    monkeypatch.setattr(A, '_spf', None)
+    monkeypatch.setattr(A, '_wheel', None)
     monkeypatch.setattr(A, '_primes', None)
     return A._tables
 
@@ -195,22 +206,39 @@ def test_factor_table_matches_an_independent_sieve(fresh_tables):
     want = [n for n in range(2, limit + 1) if not spf[n]]
     assert len(want) == 78498 and want[-1] == 999983
     assert primes == array('i', want)       # an int32 array, not a list
-    for i, q in enumerate(want, 1):
-        spf[q] = -i
-    assert table[0] == table[1] == 0
-    assert table == array('i', spf)
+    index = dict(zip(want, range(1, len(want) + 1)))
+    # the n prime to 6, at n // 3: 0 for 1, minus the index of a prime,
+    # else (index of the smallest prime factor q, its exponent, n / q^e)
+    wheel = [n for n in range(1, limit + 1) if n % 6 in (1, 5)]
+    assert [n // 3 for n in wheel] == list(range(len(table)))
+    expected = [(0,)]
+    for n in wheel[1:]:
+        q, e, cofactor = spf[n], 0, n
+        while q and cofactor % q == 0:
+            cofactor //= q
+            e += 1
+        expected.append((index[q], e, cofactor) if q else (-index[n],))
+
+    def unpacked(entry):
+        k = entry & 0x3FFFF             # the entry of 3k + 1 + (k & 1)
+        if entry > 0:
+            return entry >> 23, entry >> 18 & 31, 3 * k + 1 + (k & 1)
+        return (entry,)
+
+    assert isinstance(table, array) and table.typecode == 'i'
+    assert list(map(unpacked, table)) == expected
 
 
 def test_factor_tables_are_two_compact_arrays(fresh_tables):
-    # 10^6 int32 entries take 4 MB, where a list of boxed ints takes 13 MB
+    # 333,333 int32 entries and 78,498 primes take 1.7 MB, built in place
     tracemalloc.start()
     try:
         fresh_tables()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held <= 5 * 2 ** 20, held
-    assert peak <= 7 * 2 ** 20, peak
+    assert held <= 2 * 2 ** 20, held
+    assert peak <= 2.5 * 2 ** 20, peak
 
 
 def _trusted_products(decode, enumerate_level):

@@ -10,12 +10,13 @@ import re
 import sys
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from young_defined import cli, formulas, harness, partitions
+from young_defined import arithmetization, cli, formulas, harness, partitions
 from young_defined.catalog import all_pairs, get_pair
 from young_defined.partitions import (Universe, bit_cache_bytes,
                                       enumerate_level, enumerate_universe, leq,
@@ -529,6 +530,18 @@ def test_arithmetization_report_names_a_moved_decode(monkeypatch):
     assert _arithmetization_problems() == [
         {'problem': 'decode(encode) moved', 'arg': '[3]'},
         {'problem': 'encode(decode) moved', 'arg': 5}]
+
+
+def test_arithmetization_report_names_a_corrupt_table_entry(monkeypatch):
+    # 25 = 5^2 read as 5^1: 25 decodes to [3], whose code is 5
+    table = array('i', arithmetization._tables()[0])
+    assert table[25 // 3] == 3 << 23 | 2 << 18
+    table[25 // 3] = 3 << 23 | 1 << 18
+    monkeypatch.setattr(arithmetization, '_wheel', table)
+    report = harness.arithmetization_report(
+        max_card=8, integer_ceiling=10 ** 4, pair_card=8, bridge_bound=10)
+    assert report.verdict == 'fail'
+    assert {'problem': 'encode(decode) moved', 'arg': 25} in report.witnesses
 
 
 def test_arithmetization_report_names_an_encode_collision(monkeypatch):

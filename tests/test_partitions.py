@@ -306,6 +306,13 @@ def test_levels_are_enumerated_once_and_shared():
         enumerate_level(2.0)
 
 
+def test_partitions_of_one_block_share_its_first_run():
+    # level 7's block (3, 1): (3, 2, 2), (3, 2, 1, 1) and (3, 1, 1, 1, 1)
+    block = [pi for pi in enumerate_level(7) if pi.runs[0] == (3, 1)]
+    assert len(block) == 3
+    assert block[0].runs[0] is block[1].runs[0] is block[2].runs[0]
+
+
 def _descending_part_tuples(n, cap):
     if n == 0:
         yield ()

@@ -12,7 +12,7 @@ import re
 import time
 
 from . import formulas
-from .arithmetization import decode, encode, ord_via_encoding
+from .arithmetization import DECODE_CEILING, decode, encode, ord_via_encoding
 from .catalog import (all_pairs, get_pair, is_rectangular, is_total,
                       is_trivial, total)
 from .partitions import (EMPTY, ResourceLimit, conjugate, enumerate_universe,
@@ -355,32 +355,33 @@ def embed_poset(poset, max_card):
     # one's; neither mask holds this image, so the images stay distinct
     less = [[(a, b) in poset.less for b in order] for a in order]
     images = [None] * len(order)
-
-    def extend(i, candidates):
-        if i == len(order):
-            return True
+    # one frame per element being placed, iteratively, so that no poset
+    # is too large for the stack: the candidates of every element as the
+    # images placed before it narrowed them; a frame's own entry holds
+    # the candidates it has yet to try, lowest first
+    full = (1 << len(universe.elements)) - 1
+    stack = [[full] * len(order)]
+    while stack and len(stack) <= len(order):
+        i = len(stack) - 1
+        candidates = stack[i]
         mask = candidates[i]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            u = low.bit_length() - 1
-            above = up[u] << u
-            strictly_above, incomparable = above ^ low, ~(down[u] | above)
-            narrowed = list(candidates)
-            ok = True
-            for j in range(i + 1, len(order)):
-                narrowed[j] &= strictly_above if less[i][j] else incomparable
-                if narrowed[j] == 0:
-                    ok = False
-                    break
-            if ok:
-                images[i] = u
-                if extend(i + 1, narrowed):
-                    return True
-                images[i] = None
-        return False
-
-    if not extend(0, [(1 << len(universe.elements)) - 1] * len(order)):
+        if not mask:
+            stack.pop()
+            continue
+        low = mask & -mask
+        candidates[i] = mask ^ low
+        u = low.bit_length() - 1
+        above = up[u] << u
+        strictly_above, incomparable = above ^ low, ~(down[u] | above)
+        narrowed = list(candidates)
+        for j in range(i + 1, len(order)):
+            narrowed[j] &= strictly_above if less[i][j] else incomparable
+            if narrowed[j] == 0:
+                break
+        else:
+            images[i] = u
+            stack.append(narrowed)
+    if not stack:
         return None
     mapping = {e: universe.elements[u] for e, u in zip(order, images)}
     verify_embedding(poset, mapping)
@@ -614,7 +615,7 @@ def check_all(profile):
         _profile_bound(AUTOMORPHISM_RANK, profile, 5)))
     reports.append(arithmetization_report(
         max_card=8 if quick else 15,
-        integer_ceiling=10 ** 4 if quick else 10 ** 6,
+        integer_ceiling=10 ** 4 if quick else DECODE_CEILING,
         pair_card=8 if quick else 12,
         bridge_bound=10 if quick else 30))
     for name, text in sorted(formulas.corpus().items()):

@@ -25,21 +25,16 @@ partitions = st.lists(st.integers(1, 9), max_size=9).map(from_parts)
 def test_nth_prime():
     assert [A.nth_prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert A.nth_prime(25) == 97
-    # the first indices above the table; Dusart's bound for 78,499 lies
-    # below the table's end, so the segment sieve starts inside it
-    assert A.nth_prime(78499) == 1000003
-    assert A.nth_prime(78500) == 1000033
     with pytest.raises(ValueError):
         A.nth_prime(0)
 
 
 def test_nth_prime_up_to_the_ceiling():
-    # published values: the millionth prime, and 999,999,937, the
-    # largest prime below 10^9, whose index is pi(10^9)
-    assert A.nth_prime(10 ** 6) == 15485863
-    assert A.nth_prime(50847534) == 999999937
+    # 999,983 is the largest prime below 10^6, so its index is pi(10^6)
+    assert A.PRIME_INDEX_CEILING == 78498
+    assert A.nth_prime(78498) == 999983
     with pytest.raises(ResourceLimit):
-        A.nth_prime(50847535)  # 1,000,000,007 is above the ceiling
+        A.nth_prime(78499)  # 1,000,003 is above the table
 
 
 def test_encode_frozen_examples():
@@ -88,27 +83,17 @@ def test_encoding_is_injective_on_a_window():
         codes[code] = sigma
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.integers(10 ** 6, A.DECODE_CEILING))
-def test_encode_decode_roundtrip_up_to_the_ceiling(n):
-    assert A.encode(A.decode(n)) == n
-
-
 def test_decode_large_prime():
-    # 20920901 is the 1325274th prime, as a plain sieve counts
-    assert A.decode(20920901) == p('[1325274]')
-    assert A.encode(p('[1325274]')) == 20920901
+    # the largest prime in the table, the code of the largest part
+    # encode accepts
+    assert A.decode(999983) == p('[78498]')
+    assert A.encode(p('[78498]')) == 999983
 
 
-def test_decode_run_order_above_the_table():
-    # 1000003 is the first prime above 10^6, so its index is
-    # pi(10^6) + 1 = 78499; the factor 3 is repeated
-    n = 2 * 3 ** 2 * 1000003
-    assert n > 10 ** 6
-    sigma = A.decode(n)
-    assert sigma == from_parts([78499, 2, 2, 1])
-    assert sigma.runs == ((78499, 1), (2, 2), (1, 1))
-    assert A.encode(sigma) == n
+def test_encode_ceiling():
+    for text in ('[78499]', '[78499]+2[1]', '[100000]+[2]'):
+        with pytest.raises(ResourceLimit):
+            A.encode(p(text))
 
 
 def _factorization_runs(n, primes):
@@ -129,8 +114,15 @@ def _factorization_runs(n, primes):
     return tuple(reversed(runs))
 
 
+def _multiples_of_top_primes(primes, ceiling):
+    """k times the largest prime <= ceiling / k, for k = 1, ..., 10:
+    codes near the ceiling with a large prime factor far up the table."""
+    return [k * primes[bisect.bisect_right(primes, ceiling // k) - 1]
+            for k in range(1, 11)]
+
+
 def test_decode_reads_the_factorization_as_runs():
-    limit = 3 * 10 ** 6
+    limit = 10 ** 6
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = bytes(2)
     for i in range(2, isqrt(limit) + 1):
@@ -138,13 +130,13 @@ def test_decode_reads_the_factorization_as_runs():
             sieve[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
     primes = list(itertools.compress(range(limit + 1), sieve))
     rng = random.Random(0)
-    # ten draws, and k times the k-th prime above 10^6, whose index is
-    # counted rather than read from the table
-    above = [rng.randrange(10 ** 6 + 1, limit) for _ in range(10)]
-    above += [k * q for k, q in enumerate(primes[78498:78508], 1)]
-    # and the codes on either side of the table's end
-    ends = range(10 ** 6 - 100, 10 ** 6 + 101)
-    for n in list(range(2, 5001)) + list(ends) + above:
+    # ten draws from the table's top tenth, and codes near its end whose
+    # largest prime factors are far up the table
+    top = [rng.randrange(9 * 10 ** 5, limit + 1) for _ in range(10)]
+    top += _multiples_of_top_primes(primes, limit)
+    # and the codes up to the table's end
+    ends = range(10 ** 6 - 100, 10 ** 6 + 1)
+    for n in list(range(2, 5001)) + list(ends) + top:
         if n & (n - 1) == 0:        # 2^k codes the trivial (k+1)[1]
             want = ((1, n.bit_length()),)
         else:
@@ -152,23 +144,21 @@ def test_decode_reads_the_factorization_as_runs():
         assert A.decode(n).runs == want, n
 
 
-def test_decode_above_the_table_indexes_2_3_and_the_table_primes():
-    # the cofactor left after dividing by the primes up to its square
-    # root is 3, which the table does not hold, or a prime the table does
-    assert A.decode(3 * 2 ** 19).runs == ((2, 1), (1, 19))
-    assert A.decode(2 * 999983).runs == ((78498, 1), (1, 1))
-    assert A.decode(5 ** 9).runs == ((3, 9),)
-    assert A.decode(3 ** 13).runs == ((2, 13),)
-
-
-def test_decode_does_not_depend_on_earlier_calls():
-    A.decode(10000019)
-    assert A.decode(19000013) == p('[1211051]')
+def test_decode_indexes_2_3_and_the_table_primes():
+    # 2s and 3s are stripped before the table is read, as it holds only
+    # the n prime to 6; the table reads the prime powers that are left
+    assert A.decode(3 * 2 ** 18).runs == ((2, 1), (1, 18))
+    assert A.decode(5 ** 8).runs == ((3, 8),)
+    assert A.decode(3 ** 12).runs == ((2, 12),)
 
 
 def test_decode_ceiling():
+    assert A.DECODE_CEILING == 10 ** 6
+    assert A.decode(10 ** 6) == p('6[3]+6[1]')
     with pytest.raises(ResourceLimit):
         A.decode(A.DECODE_CEILING + 1)
+    # powers of two code the trivial partitions, and decode at any size
+    assert A.decode(2 ** 40) == p('41[1]')
 
 
 @pytest.mark.parametrize('call', [
@@ -195,7 +185,7 @@ def fresh_tables(monkeypatch):
 
 def test_factor_table_matches_an_independent_sieve(fresh_tables):
     table, primes = fresh_tables()
-    limit = 10 ** 6
+    limit = A.DECODE_CEILING
     # ascending, each multiple keeping the first prime that reaches it
     spf = [0] * (limit + 1)
     for q in range(2, isqrt(limit) + 1):
@@ -206,6 +196,9 @@ def test_factor_table_matches_an_independent_sieve(fresh_tables):
     want = [n for n in range(2, limit + 1) if not spf[n]]
     assert len(want) == 78498 and want[-1] == 999983
     assert primes == array('i', want)       # an int32 array, not a list
+    # the table holds every index nth_prime serves
+    assert len(primes) == A.PRIME_INDEX_CEILING
+    assert A.nth_prime(A.PRIME_INDEX_CEILING) == want[-1]
     index = dict(zip(want, range(1, len(want) + 1)))
     # the n prime to 6, at n // 3: 0 for 1, minus the index of a prime,
     # else (index of the smallest prime factor q, its exponent, n / q^e)
@@ -244,13 +237,13 @@ def test_factor_tables_are_two_compact_arrays(fresh_tables):
 def _trusted_products(decode, enumerate_level):
     """What decode and enumerate_level build through the trusted
     constructor: every partition of levels <= 25, decode(n) for n <= 10^5,
-    and 310 codes above the factor table, among them k times the k-th
-    prime above 10^6, whose index is counted rather than read."""
+    and 310 codes in the factor table's top tenth, among them codes with
+    a large prime factor far up the table."""
     rng = random.Random(0)
-    above = [rng.randrange(10 ** 6 + 1, 4 * 10 ** 6) for _ in range(300)]
-    above += [k * A.nth_prime(78498 + k) for k in range(1, 11)]
+    top = [rng.randrange(9 * 10 ** 5, 10 ** 6 + 1) for _ in range(300)]
+    top += _multiples_of_top_primes(A._tables()[1], 10 ** 6)
     yield from (pi for n in range(26) for pi in enumerate_level(n))
-    yield from map(decode, itertools.chain(range(10 ** 5 + 1), above))
+    yield from map(decode, itertools.chain(range(10 ** 5 + 1), top))
 
 
 def _assert_slots_as_validated(partitions):
@@ -287,6 +280,9 @@ def test_primexp():
     assert not A.primexp(1, 2, n)
     with pytest.raises(ValueError):
         A.primexp(1, 1, 0)
+    assert A.primexp(78498, 1, 999983)
+    with pytest.raises(ResourceLimit):
+        A.primexp(78499, 0, 1)
 
 
 def test_ord_via_encoding_matches_leq():

@@ -345,6 +345,21 @@ def test_embed_ignores_the_declaration_order_across_depths(poset, max_card,
             == harness.embed_poset(poset, max_card))
 
 
+def test_embed_a_truncation_into_itself():
+    # one stack frame per element would exceed Python's recursion limit
+    universe = enumerate_universe(17)
+    names = [render(pi) for pi in universe.elements]
+    covers = [(render(sigma), render(pi)) for pi in universe.elements
+              for sigma in lower_covers(pi)]
+    poset = harness.FinitePoset(names, covers)
+    assert len(names) == 1212
+    start = time.perf_counter()
+    mapping = harness.embed_poset(poset, 17)
+    assert time.perf_counter() - start <= 10
+    # the first mapping found is the identity
+    assert {e: render(pi) for e, pi in mapping.items()} == {e: e for e in names}
+
+
 def test_verify_embedding_rejects_bad_maps():
     poset = harness.FinitePoset.chain(2)
     with pytest.raises(RuntimeError):
@@ -714,6 +729,14 @@ def test_cli_usage_errors_exit_2(capsys):
     assert capsys.readouterr().err.startswith('error:')
     assert run_cli('decode', '-5') == 2
     assert run_cli('encode', '[oops]') == 2
+    capsys.readouterr()
+    # a refused ceiling is an input error, not an internal one
+    assert run_cli('decode', '1000001') == 2
+    assert capsys.readouterr().err.startswith('error:')
+    assert run_cli('encode', '[78499]') == 2
+    assert capsys.readouterr().err.startswith('error:')
+    assert run_cli('decode', '1073741824') == 0
+    assert capsys.readouterr().out.strip() == '31[1]'
 
 
 def test_cli_eval(tmp_path, capsys):

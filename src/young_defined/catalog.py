@@ -419,7 +419,7 @@ def height_geq(rho, pi):
 
 
 def _min_constrained_length(pi):
-    """The least length among partitions meeting the forced-multiplicity
+    """The least length among partitions satisfying the forced-multiplicity
     conditions of pi: part [r] must appear at least max_rectangular_below(r, pi)
     times, so the minimum is the sum of those bounds."""
     return sum(max_rectangular_below(r, pi) for r in range(1, pi.largest + 1))
@@ -439,7 +439,7 @@ def char_height_geq(rho, pi):
 
 
 def satisfies_height_conditions(sigma, pi):
-    """Does sigma meet the forced-multiplicity conditions induced by pi?
+    """Does sigma satisfy the forced-multiplicity conditions induced by pi?
 
     For every r and maximal m with m[r] <= pi, the part [r] must appear
     in sigma at least m times.
@@ -452,7 +452,7 @@ def satisfies_height_conditions(sigma, pi):
 
 @_on(TOTAL, ANY)
 def char_height_geq_sweep(rho, pi, universe):
-    """Literal sweep form: every universe element meeting the conditions
+    """Literal sweep form: every universe element satisfying the conditions
     has length >= |rho|; needs the universe to reach the minimal witness."""
     need = factorial_sum(pi).card
     if universe.max_card < need:

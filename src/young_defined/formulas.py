@@ -439,6 +439,14 @@ def prenex_classify(f):
     return 'Pi%d' % p
 
 
+# By prenex class, whether a flipped value may be a member at the larger of
+# the flip's two slacks.  The truncation at a smaller slack is an induced
+# substructure of the one at a larger slack holding every free value and
+# constant, and existential formulas are preserved upward: a Sigma1 set
+# can only grow, a Pi1 set only shrink, and a Delta0 set cannot change.
+_FLIP_ENDS_IN = {'Sigma1': (True,), 'Pi1': (False,), 'Delta0': ()}
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -788,7 +796,8 @@ def corpus():
 def stability_check(f, names, universe, max_card, slacks):
     """The defined set of f over its free variables names at each slack,
     and the membership flips between consecutive slacks, each as (value,
-    slack before, slack after, member before), sorted by repr per step.
+    slack before, slack after, member before, whether f's prenex class
+    allows the flip), sorted by repr per step.
 
     A set holds partitions for one name and tuples for more.
     """
@@ -798,7 +807,9 @@ def stability_check(f, names, universe, max_card, slacks):
     for k in slacks:
         found = defined_relation(f, names, universe, EvalConfig(max_card, k))
         sets.append({pi for pi, in found} if len(names) == 1 else found)
-    flips = [(value, k0, k1, value in before)
+    ends = _FLIP_ENDS_IN.get(prenex_classify(f), (True, False))
+    flips = [(value, k0, k1, value in before,
+              (value in (after if k0 < k1 else before)) in ends)
              for k0, k1, before, after in zip(slacks, slacks[1:], sets, sets[1:])
              for value in sorted(before ^ after, key=repr)]
     return sets, flips

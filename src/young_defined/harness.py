@@ -15,8 +15,9 @@ from . import formulas
 from .arithmetization import DECODE_CEILING, decode, encode, ord_via_encoding
 from .catalog import (all_pairs, get_pair, is_rectangular, is_total,
                       is_trivial, total)
-from .partitions import (EMPTY, ResourceLimit, conjugate, enumerate_universe,
-                         leq, lower_covers, parse_partition, partition_count,
+from .partitions import (EMPTY, MAX_BIT_CACHE_BYTES, ResourceLimit,
+                         bit_cache_bytes, conjugate, enumerate_universe, leq,
+                         lower_covers, parse_partition, partition_count,
                          render)
 
 SCHEMA = 'young-defined/1'
@@ -30,15 +31,14 @@ class UsageError(ValueError):
 class CheckReport:
     """Outcome of one certification sweep.
 
-    The verdict is 'fail' when there is any mismatch, else 'unstable'
-    when the caller passes unstable=True (a truncation-sensitivity flag
-    fired), else 'pass'.  Boundary witnesses are expected edge cases
+    The verdict is 'fail' when there is any mismatch, else 'pass'; it
+    depends on nothing else.  Boundary witnesses are expected edge cases
     reported separately and never counted as mismatches.
     """
 
     def __init__(self, name, range_description, total_checked, mismatches,
-                 elapsed, unstable=False, boundary=None, informational=False,
-                 details=None, note=''):
+                 elapsed, boundary=None, informational=False, details=None,
+                 note=''):
         self.name = name
         self.range_description = range_description
         self.total_checked = total_checked
@@ -47,8 +47,7 @@ class CheckReport:
         self.boundary_count = len(boundary) if boundary else 0
         self.boundary_witnesses = (boundary or [])[:WITNESS_CAP]
         self.elapsed = elapsed
-        self.verdict = ('fail' if mismatches else
-                        'unstable' if unstable else 'pass')
+        self.verdict = 'fail' if mismatches else 'pass'
         self.informational = informational
         self.details = details or {}
         self.note = note
@@ -341,6 +340,16 @@ def embed_poset(poset, max_card):
     about the unbounded order.
     """
     universe = enumerate_universe(max_card)
+    # the search holds up to n lists of n candidate masks, n the poset's
+    # size: each list costs 56 + 8n bytes, and list i holds new masks in
+    # slots i + 1 onward, each of at most w bits for the w universe
+    # elements, at 28 bytes plus 4 per 30 bits
+    n, w = len(poset.elements), len(universe.elements)
+    need = (n * (56 + 8 * n) + n * (n - 1) // 2 * (28 + 4 * -(-w // 30))
+            + bit_cache_bytes(w))
+    if need > MAX_BIT_CACHE_BYTES:
+        raise ResourceLimit('embedding %d elements needs about %d bytes, over'
+                            ' the ceiling %d' % (n, need, MAX_BIT_CACHE_BYTES))
     down, up = universe.down_bits(), universe.up_bits()
     below = {e: [a for a in poset.elements if (a, e) in poset.less]
              for e in poset.elements}
@@ -430,20 +439,6 @@ def embed_report(name, poset, max_card, expect_found=True):
 
 CORPUS_SLACKS = (0, 1, 2, 3)    # the quick profile keeps only 0 and 1
 
-# By prenex class, whether a flipped value may be a member at the larger of
-# the flip's two slacks.  The truncation at a smaller slack is an induced
-# substructure of the one at a larger slack holding every free value and
-# constant, and existential formulas are preserved upward: a Sigma1 set
-# can only grow, a Pi1 set only shrink, and a Delta0 set cannot change.
-_FLIP_ENDS_IN = {'Sigma1': (True,), 'Pi1': (False,), 'Delta0': ()}
-
-
-def _wrong_way(klass, flips):
-    """The flips of stability_check that a formula of class klass cannot make."""
-    ends = _FLIP_ENDS_IN.get(klass, (True, False))
-    return [(value, k0, k1, was) for value, k0, k1, was in flips
-            if (was != (k0 < k1)) not in ends]
-
 
 def _corpus_header(text):
     """The class and the standard bound a corpus file declares on its
@@ -477,16 +472,15 @@ def _corpus_expectation(name, universe, max_card):
     raise UsageError('no expectation registered for corpus file %r' % name)
 
 
-def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
-    """Roundtrip, classification, oracle agreement and slack stability
-    for one bundled formula file; the class and, unless max_card is
-    given, the bound come from the file's header lines."""
+def corpus_report(name, text, max_card, slacks):
+    """Roundtrip, classification, oracle agreement and flip direction for
+    one bundled formula file, free variables <= max_card, its class read
+    from the file's header.  The oracle set is the same at every slack, so
+    a flip between two slacks makes one of them disagree with it."""
     if not slacks:
         raise formulas.EvalError('empty slack schedule')
     start = time.perf_counter()
-    want_class, bound = _corpus_header(text)
-    if max_card is not None:
-        bound = max_card
+    want_class = _corpus_header(text)[0]
     formula = formulas.parse(text)
     mismatches = []
     if formulas.parse(formulas.print_file(formula)) != formula:
@@ -496,15 +490,15 @@ def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
         mismatches.append({'problem': 'classification drifted',
                            'expected': want_class, 'got': got_class})
     free = tuple(sorted(formulas.free_vars(formula)))
-    universe = enumerate_universe(bound + max(slacks))
-    sets, flips = formulas.stability_check(formula, free, universe, bound,
+    universe = enumerate_universe(max_card + max(slacks))
+    sets, flips = formulas.stability_check(formula, free, universe, max_card,
                                            slacks)
-    for value, k0, k1, was in _wrong_way(got_class, flips):
-        mismatches.append({'problem': 'flip against the class',
-                           'value': repr(value), 'fromSlack': k0,
-                           'toSlack': k1, 'wasMember': was})
-    expected = _corpus_expectation(name, universe, bound)
-    total_checked = len(slacks) * universe.ordinal_cutoff(bound) ** len(free)
+    mismatches += [{'problem': 'flip against the class', 'value': repr(value),
+                    'fromSlack': k0, 'toSlack': k1, 'wasMember': was}
+                   for value, k0, k1, was, allowed in flips if not allowed]
+    expected = _corpus_expectation(name, universe, max_card)
+    total_checked = (len(slacks)
+                     * universe.ordinal_cutoff(max_card) ** len(free))
     for k, got in zip(slacks, sets):
         if got != expected:
             sample = sorted(got ^ expected,
@@ -514,13 +508,12 @@ def corpus_report(name, text, max_card=None, slacks=CORPUS_SLACKS):
                                'sample': [repr(s) for s in sample]})
     return CheckReport(
         'corpus-%s' % name,
-        'free variables <= %d, slacks %s' % (bound, list(slacks)),
+        'free variables <= %d, slacks %s' % (max_card, list(slacks)),
         total_checked, mismatches, time.perf_counter() - start,
-        unstable=bool(flips),
         details={'class': got_class, 'setSizes': [len(s) for s in sets],
                  'flips': [{'value': repr(value), 'fromSlack': k0,
                             'toSlack': k1, 'wasMember': was}
-                           for value, k0, k1, was in flips[:WITNESS_CAP]],
+                           for value, k0, k1, was, _ in flips[:WITNESS_CAP]],
                  'flipCount': len(flips)})
 
 
@@ -533,16 +526,12 @@ def arithmetization_report(max_card, integer_ceiling, pair_card, bridge_bound):
     total_checked = 0
     mismatches = []
     universe = enumerate_universe(max_card)
-    seen = {}
+    # two partitions with one code would decode to one partition, so the
+    # other's decode(encode) moves: this check also finds two with one code
     for sigma in universe.elements:
         total_checked += 1
-        code = encode(sigma)
-        if decode(code) != sigma:
+        if decode(encode(sigma)) != sigma:
             mismatches.append({'problem': 'decode(encode) moved', 'arg': render(sigma)})
-        if code in seen:
-            mismatches.append({'problem': 'encode collision',
-                               'args': [render(sigma), render(seen[code])]})
-        seen[code] = sigma
     total_checked += integer_ceiling + 1
     for n in range(integer_ceiling + 1):
         if encode(decode(n)) != n:

@@ -221,22 +221,6 @@ def factorial_partition(n):
     return Partition((k, 1) for k in range(n, 0, -1))
 
 
-def meet(sigma, pi):
-    """Greatest lower bound: componentwise minimum of the part sequences."""
-    a, b = sigma.parts(), pi.parts()
-    return from_parts(min(x, y) for x, y in zip(a, b))
-
-
-def join(sigma, pi):
-    """Least upper bound: componentwise maximum of the padded part sequences."""
-    a, b = sigma.parts(), pi.parts()
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    else:
-        b = b + (0,) * (len(a) - len(b))
-    return from_parts(max(x, y) for x, y in zip(a, b))
-
-
 def _blocks(n):
     """The first runs (s, m) of the partitions of n in level order, with
     r = n - s*m; (1, n) is the only one of size 1."""

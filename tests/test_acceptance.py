@@ -199,7 +199,8 @@ def test_criterion_14_formula_engine():
                            if q.card <= 20 and oracle(q)}
 
     for name, text in sorted(corpus.items()):
-        r = harness.corpus_report(name, text, slacks=(0, 1, 2, 3))
+        r = harness.corpus_report(name, text, harness._corpus_header(text)[1],
+                                  (0, 1, 2, 3))
         assert r.verdict == 'pass', r.to_json()
         assert r.details['flipCount'] == 0
     report(14, time.perf_counter() - start,

@@ -904,7 +904,8 @@ def test_stability_check_flags_a_truncation_sensitive_formula():
     sets, flips = F.stability_check(f, ('x',), UNI6, 3, [0, 1])
     assert flips
     assert len(sets[0]) > 0 and len(sets[1]) == 0
-    assert all(was and value not in sets[1] for value, _, _, was in flips)
+    assert all(was and value not in sets[1] and allowed
+               for value, _, _, was, allowed in flips)
 
 
 def test_stability_check_on_a_stable_formula():
@@ -922,7 +923,7 @@ def test_stability_check_over_two_variables():
     assert sets[0] == {(s, q) for q in UNI6.elements if q.card == 2
                        for s in UNI6.elements if leq(s, q)}
     assert sets[1] == set()
-    assert flips == [(v, 0, 1, True) for v in sorted(sets[0], key=repr)]
+    assert flips == [(v, 0, 1, True, True) for v in sorted(sets[0], key=repr)]
     with pytest.raises(F.EvalError):
         F.stability_check(f, ('x', 'y'), UNI6, 2, [])
 

@@ -16,10 +16,9 @@ from young_defined.partitions import (EMPTY, MAX_BIT_CACHE_BYTES,
                                       PartitionError, ResourceLimit, Universe,
                                       bit_cache_bytes, conjugate,
                                       enumerate_level, enumerate_universe,
-                                      factorial_partition, from_parts, join,
-                                      leq, lower_covers, meet,
-                                      parse_partition, partition_count,
-                                      render, upper_covers)
+                                      factorial_partition, from_parts, leq,
+                                      lower_covers, parse_partition,
+                                      partition_count, render, upper_covers)
 
 UNI = enumerate_universe(9)
 
@@ -261,34 +260,6 @@ def test_conjugate_is_an_order_automorphism(sigma, pi):
 def test_conjugate_swaps_length_and_largest(pi):
     assert conjugate(pi).largest == pi.length
     assert conjugate(pi).length == pi.largest
-
-
-# --- meet and join
-
-@given(partitions, partitions)
-def test_meet_join_bounds(sigma, pi):
-    lower = meet(sigma, pi)
-    upper = join(sigma, pi)
-    assert leq(lower, sigma) and leq(lower, pi)
-    assert leq(sigma, upper) and leq(pi, upper)
-
-
-def test_meet_join_are_tightest():
-    elems = enumerate_universe(6).elements
-    for sigma in elems:
-        for pi in elems:
-            lower, upper = meet(sigma, pi), join(sigma, pi)
-            for tau in elems:
-                if leq(tau, sigma) and leq(tau, pi):
-                    assert leq(tau, lower)
-                if leq(sigma, tau) and leq(pi, tau):
-                    assert leq(upper, tau)
-
-
-def test_meet_join_examples():
-    p = parse_partition
-    assert meet(p('(3,1)'), p('(2,2)')) == p('(2,1)')
-    assert join(p('(3,1)'), p('(2,2)')) == p('(3,2)')
 
 
 # --- enumeration

@@ -17,7 +17,7 @@ from itertools import compress, islice
 from math import isqrt
 from operator import not_
 
-from .partitions import EMPTY, Partition, ResourceLimit, leq
+from .partitions import EMPTY, Partition, ResourceLimit, render
 
 # decode factors every n <= this; above it, only powers of two decode.
 # Factors and prime indices all come from the tables built up to here.
@@ -165,11 +165,6 @@ def primexp(i, m, n):
     return e == m
 
 
-def ord_via_encoding(m, n):
-    """The lattice order read through the encoding: decode both, compare."""
-    return leq(decode(m), decode(n))
-
-
 def add_pullback(rho, sigma, pi):
     """Addition pulled back through the encoding: #rho + #sigma = #pi."""
     return encode(rho) + encode(sigma) == encode(pi)
@@ -181,11 +176,13 @@ def mult_pullback(rho, sigma, pi):
 
 
 def totalize(sigma):
-    """The total partition whose cardinality is the code of sigma."""
-    code = encode(sigma)
-    if code == 0:
-        return EMPTY
-    if code > TOTALIZE_CEILING:
-        raise ResourceLimit('totalize ceiling %d exceeded: %d'
-                            % (TOTALIZE_CEILING, code))
-    return Partition(((code, 1),))
+    """The total partition whose cardinality is the code of sigma, refused
+    above TOTALIZE_CEILING, before the code is built when it surely is."""
+    # nth_prime(n)**m has at least m * (bit_length - 1) bits, and m[1]'s
+    # code 2^(m-1) has exactly m: the sum bounds the code's bit length
+    low = sum(m * (nth_prime(n).bit_length() - 1) for n, m in sigma.runs)
+    if (low > TOTALIZE_CEILING.bit_length()
+            or (code := encode(sigma)) > TOTALIZE_CEILING):
+        raise ResourceLimit('totalize ceiling %d exceeded by the code of %s'
+                            % (TOTALIZE_CEILING, render(sigma)))
+    return Partition(((code, 1),)) if code else EMPTY

@@ -7,7 +7,6 @@ The containment order, covers, conjugation, grading and bounded
 enumeration all live here; everything downstream builds on them.
 """
 
-import bisect
 import functools
 import itertools
 import re
@@ -229,10 +228,25 @@ def _blocks(n):
             yield s, m, n - s * m
 
 
-def _suffix(level, s):
-    """The partitions of a level with every part < s: levels are ordered
-    largest part first, so they are a suffix."""
-    return level[bisect.bisect_left(level, 1 - s, key=lambda pi: -pi.largest):]
+@functools.lru_cache(maxsize=None)
+def _starts(n):
+    """Level n's block starts, once per process: [s][m], m >= 1, is the
+    index in enumerate_level(n) of block (s, m), and [s][0] that of the
+    partitions of n with every part < s, which follow block (s, 1)."""
+    starts, pos = [None] * (n + 1), 0
+    for s in range(n, 0, -1):
+        starts[s] = row = [0] * (n // s + 1)
+        for m in range(n // s, 0, -1):
+            r = n - s * m
+            row[m] = pos
+            pos += len(enumerate_level(r)) - _start(r, s, 0)
+        row[0] = pos
+    return starts
+
+
+def _start(n, s, m):
+    """_starts(n)[s][m], and 0 when s > n: all of level n is below s."""
+    return _starts(n)[s][m] if s <= n else 0
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -242,7 +256,8 @@ def enumerate_level(n):
     so 2.0 is never served the cached answer for 2 and is still refused).
 
     Level n is one block per first run (s, m) of _blocks: (s, m) + t for
-    each t of level r = n - s*m with every part < s, in level r's order.
+    each t of level r = n - s*m with every part < s, in level r's order:
+    the suffix of level r from _start(r, s, 0).
     """
     if n == 0:
         return (Partition(()),)
@@ -250,17 +265,17 @@ def enumerate_level(n):
     for s, m, r in _blocks(n):
         head = ((s, m),)                # one run object for the whole block
         level.extend(Partition._canonical(head + t.runs, n, m + t.length)
-                     for t in _suffix(enumerate_level(r), s))
+                     for t in enumerate_level(r)[_start(r, s, 0):])
     return tuple(level)
 
 
 class Universe:
-    """All partitions of cardinality 0..maxCard, graded and indexed.
+    """All partitions of cardinality 0..maxCard, graded and numbered.
 
     Level n holds the partitions of n in reverse-lexicographic order on
     the descending part sequence, so enumeration is reproducible run to
-    run.  index maps a partition to its ordinal, its position in one
-    global numbering level by level, which the bitmask caches use.
+    run.  A partition's ordinal, its position in one global numbering
+    level by level, is its level's offset plus its place in the level.
     """
 
     def __init__(self, max_card):
@@ -274,7 +289,6 @@ class Universe:
         self.max_card = max_card
         self.levels = [enumerate_level(n) for n in range(max_card + 1)]
         self.elements = [pi for level in self.levels for pi in level]
-        self.index = dict(zip(self.elements, range(len(self.elements))))
         # ordinal of the first element of each level, then the total
         self._offsets = list(itertools.accumulate(map(len, self.levels),
                                                   initial=0))
@@ -289,11 +303,15 @@ class Universe:
         return iter(self.elements)
 
     def __contains__(self, pi):
-        return pi in self.index
+        # every partition of cardinality <= max_card is enumerated
+        return pi.card <= self.max_card
 
     def ordinal(self, pi):
-        """Global position of pi in the level-by-level enumeration."""
-        return self.index[pi]
+        """Global position of pi in the level-by-level enumeration, by a
+        scan of pi's level, linear in its size: the caches and tables are
+        indexed by ordinal, so only formula constants and the values
+        formulas.evaluate is given are looked up."""
+        return self._offsets[pi.card] + self.levels[pi.card].index(pi)
 
     def ordinal_cutoff(self, card):
         """Number of elements with cardinality <= card (0 below 0)."""
@@ -323,23 +341,8 @@ class Universe:
         """
         if self._covers is None:
             covers, offsets = array('i'), array('i', [0, 0])
-            off, starts = self._offsets, [None]
-
-            def start(n, s, m):
-                """Index in level n of block (s, m); block (s, 0) is the
-                partitions of n with every part < s."""
-                return starts[n][s][m] if s <= n else 0
-
+            off, start = self._offsets, _start
             for n in range(1, self.max_card + 1):
-                level, pos = [None] * (n + 1), 0
-                for s in range(n, 0, -1):
-                    level[s] = row = [0] * (n // s + 1)
-                    for m in range(n // s, 0, -1):
-                        r = n - s * m
-                        row[m] = pos
-                        pos += off[r + 1] - off[r] - start(r, s, 0)
-                    row[0] = pos
-                starts.append(level)
                 for s, m, r in _blocks(n):
                     if s == 1:
                         covers.append(off[n] - 1)

@@ -1,8 +1,9 @@
-"""The prime-exponent encoding: bijectivity, order transport, ceilings."""
+"""The prime-exponent encoding: bijectivity, pullbacks, ceilings."""
 
 import bisect
 import itertools
 import random
+import time
 import tracemalloc
 from array import array
 from math import isqrt
@@ -15,7 +16,7 @@ from young_defined import arithmetization as A
 from young_defined import partitions as P
 from young_defined.partitions import (EMPTY, Partition, PartitionError,
                                       ResourceLimit, enumerate_level,
-                                      enumerate_universe, from_parts, leq,
+                                      enumerate_universe, from_parts,
                                       parse_partition)
 
 p = parse_partition
@@ -247,7 +248,8 @@ def _trusted_products(decode, enumerate_level):
 
 
 def _assert_slots_as_validated(partitions):
-    index = enumerate_universe(12).index
+    elements = enumerate_universe(12).elements
+    index = dict(zip(elements, range(len(elements))))
     for pi in partitions:
         rebuilt = Partition(pi.runs)
         for slot in Partition.__slots__:
@@ -285,14 +287,6 @@ def test_primexp():
         A.primexp(78499, 0, 1)
 
 
-def test_ord_via_encoding_matches_leq():
-    universe = enumerate_universe(9)
-    for sigma in universe:
-        for pi in universe:
-            assert A.ord_via_encoding(A.encode(sigma), A.encode(pi)) \
-                == leq(sigma, pi)
-
-
 @settings(deadline=None)
 @given(partitions, partitions)
 @example(EMPTY, p('[6]+6[4]+[3]+[1]'))
@@ -311,3 +305,17 @@ def test_totalize():
     assert A.totalize(p('2[3]+[1]')) == p('[50]')
     with pytest.raises(ResourceLimit):
         A.totalize(from_parts([30] * 30))
+    # 2^39 is the largest power of two within 10^12
+    assert A.totalize(Partition(((1, 40),))) == Partition(((549755813888, 1),))
+    with pytest.raises(ResourceLimit, match=r'code of 41\[1\]'):
+        A.totalize(Partition(((1, 41),)))
+
+
+@pytest.mark.parametrize('runs', [((2, 10 ** 4),), ((2, 10 ** 7),)])
+def test_totalize_refuses_before_it_builds_the_code(runs):
+    # 3^(10^7) takes seconds to build, and 3^(10^4) too many digits to print
+    A.nth_prime(1)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match=r'code of %d\[2\]' % runs[0][1]):
+        A.totalize(Partition(runs))
+    assert time.perf_counter() - start < 0.1

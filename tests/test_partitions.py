@@ -3,6 +3,7 @@ lattice operations, enumeration, and the text forms."""
 
 import collections
 import sys
+import tracemalloc
 import types
 from array import array
 
@@ -329,13 +330,30 @@ def test_universe_refuses_a_bound_that_is_not_an_int():
 
 def test_universe_lookup():
     for i, pi in enumerate(UNI.elements):
-        assert UNI.ordinal(pi) == UNI.index[pi] == i
+        assert UNI.ordinal(pi) == i
     assert UNI.ordinal_cutoff(4) == sum(partition_count(n) for n in range(5))
     assert UNI.ordinal_cutoff(UNI.max_card + 5) == len(UNI)
     for card in (-1, -2, -3):
         assert UNI.ordinal_cutoff(card) == 0
     assert parse_partition('(2,1)') in UNI
+    # membership is by cardinality alone: the top level is in, no more
+    assert all(pi in UNI for pi in UNI.levels[UNI.max_card])
+    assert from_parts([UNI.max_card + 1]) not in UNI
     assert len(UNI) == len(UNI.elements)
+
+
+def test_a_universe_keeps_no_per_element_map():
+    # its levels are shared, so what one adds is about a list slot each:
+    # a dict from partition to ordinal would take 0.6 MB more at 25
+    Universe(25)
+    tracemalloc.start()
+    try:
+        universe = Universe(25)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(universe) == 9296
+    assert held <= 150 * 2 ** 10, held
 
 
 def test_cover_table_matches_lower_covers():
@@ -349,15 +367,28 @@ def test_cover_table_matches_lower_covers():
             assert set(table) == lower_covers(pi)
 
 
+def test_block_starts_count_the_partitions_before_each_block():
+    # levels run largest part first, then most parts of that size first
+    for n in range(13):
+        level = enumerate_level(n)
+        for s in range(1, n + 2):
+            assert P._start(n, s, 0) == sum(pi.largest >= s for pi in level)
+            for m in range(1, n // s + 1):
+                assert P._start(n, s, m) == sum(
+                    pi.largest > s or pi.largest == s and pi.runs[0][1] > m
+                    for pi in level), (n, s, m)
+
+
 def _cover_table_by_lookup(universe):
     """The cover table built the direct way: every lower cover's run tuple
     looked up among the run tuples of the level below."""
     covers, offsets, below = array('i'), array('i', [0]), {}
-    for level in universe.levels:
+    for n, level in enumerate(universe.levels):
         for pi in level:
             covers.extend(below[r] for r in P._lower_cover_runs(pi.runs))
             offsets.append(len(covers))
-        below = {pi.runs: universe.ordinal(pi) for pi in level}
+        below = {pi.runs: i for i, pi in
+                 enumerate(level, universe.ordinal_cutoff(n - 1))}
     return covers, offsets
 
 

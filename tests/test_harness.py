@@ -594,6 +594,25 @@ def test_arithmetization_report_names_a_moved_decode(monkeypatch):
         for pair in pairs]
 
 
+class _Decoded(partitions.Partition):
+    """A partition as decode returns it, so a patched leq can tell it apart."""
+    __slots__ = ()
+
+
+def test_arithmetization_report_names_each_order_disagreement(monkeypatch):
+    # leq read backwards on the decodes alone: each strict pair disagrees
+    decode, leq = harness.decode, partitions.leq
+    monkeypatch.setattr(harness, 'decode', lambda n: _Decoded(decode(n).runs))
+    monkeypatch.setattr(harness, 'leq', lambda a, b: leq(b, a) if isinstance(
+        a, _Decoded) and isinstance(b, _Decoded) else leq(a, b))
+    small = enumerate_universe(3).elements
+    strict = [(a, b) for a in small for b in small if leq(a, b) != leq(b, a)]
+    problems = _arithmetization_problems()
+    assert len(strict) == 30
+    assert problems == [{'problem': 'order disagreement',
+                         'args': [render(a), render(b)]} for a, b in strict]
+
+
 def test_arithmetization_report_names_a_corrupt_table_entry(monkeypatch):
     # 25 = 5^2 read as 5^1: 25 decodes to [3], whose code is 5
     table = array('i', arithmetization._tables()[0])

@@ -28,6 +28,9 @@ DECODE_CEILING = 10 ** 6
 PRIME_INDEX_CEILING = 78498
 # totalize refuses to build totals taller than this
 TOTALIZE_CEILING = 10 ** 12
+# encode refuses more parts than this: each part's prime is below 2^20,
+# so a code has < 20 * 2^15 bits; 999983^32768 has 196,608 digits
+ENCODE_LENGTH_CEILING = 2 ** 15
 
 _wheel = None
 _primes = None
@@ -92,10 +95,14 @@ def encode(sigma):
 
     0 for the empty partition, 2^(m-1) for m[1], and otherwise the
     product of nthPrime(partSize)^multiplicity over the runs.  A part
-    above PRIME_INDEX_CEILING raises ResourceLimit before any work is done.
+    above PRIME_INDEX_CEILING, or more than ENCODE_LENGTH_CEILING parts,
+    raises ResourceLimit before any work is done.
     """
     if not sigma.runs:
         return 0
+    if sigma.length > ENCODE_LENGTH_CEILING:
+        raise ResourceLimit('encode length ceiling %d exceeded (%d parts)'
+                            % (ENCODE_LENGTH_CEILING, sigma.length))
     # runs descend, so every part lies in the table when the largest does
     if sigma.largest > PRIME_INDEX_CEILING:
         raise ResourceLimit('prime index ceiling %d exceeded (a part of %d)'

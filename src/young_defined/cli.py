@@ -7,6 +7,7 @@ internal error, so that 1 always means a check ran and found a failure.
 """
 
 import argparse
+import decimal
 import json
 import sys
 import traceback
@@ -115,17 +116,9 @@ def _cmd_eval(args):
 
 
 def _cmd_encode(args):
-    code = encode(parse_partition(args.partition))
-    # print every digit: since 3.10.7, str() of an int is capped (at 4300
-    # digits by default) unless the cap is set to 0, which lifts it
-    limit = getattr(sys, 'get_int_max_str_digits', int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(code)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # since 3.10.7 str() refuses an int of over 4,300 digits; a Decimal
+    # made from it is exact and prints every digit
+    print(decimal.Decimal(encode(parse_partition(args.partition))))
     return 0
 
 

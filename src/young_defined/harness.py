@@ -155,11 +155,10 @@ def variant_resolution(report_a, report_b):
 
 def _fingerprints(universe, n):
     """Level n's ordinals, in order, grouped by their lower-cover sets."""
-    covers, offsets = universe.cover_table()
+    rows = universe.cover_table()
     groups = {}
     for i in range(universe.ordinal_cutoff(n - 1), universe.ordinal_cutoff(n)):
-        groups.setdefault(frozenset(covers[offsets[i]:offsets[i + 1]]),
-                          []).append(i)
+        groups.setdefault(frozenset(rows[i]), []).append(i)
     return groups
 
 
@@ -215,7 +214,7 @@ def automorphism_search(max_rank):
                             % AUTOMORPHISM_RANK_CEILING)
     universe = enumerate_universe(max_rank)
     elements = universe.elements
-    covers, offsets = universe.cover_table()
+    rows = universe.cover_table()
     index = [_fingerprints(universe, n) for n in range(max_rank + 1)]
     image = []
     used = set()
@@ -234,7 +233,7 @@ def automorphism_search(max_rank):
             image.append(u)
             used.add(u)
             e = len(stack)
-            key = frozenset(image[c] for c in covers[offsets[e]:offsets[e + 1]])
+            key = frozenset(image[c] for c in rows[e])
             stack.append(iter(index[elements[e].card].get(key, ())))
     return [{elements[e]: elements[u] for e, u in enumerate(images)}
             for images in found]

@@ -10,7 +10,6 @@ enumeration all live here; everything downstream builds on them.
 import functools
 import itertools
 import re
-from array import array
 
 
 class PartitionError(ValueError):
@@ -326,9 +325,9 @@ class Universe:
                                 % (self.max_card, need, MAX_BIT_CACHE_BYTES))
 
     def cover_table(self):
-        """The lower covers of every element as one flat array of ordinals,
-        those of ordinal i at covers[offsets[i]:offsets[i + 1]], in the
-        order of _lower_cover_runs.
+        """Row i: the ordinals of element i's lower covers as one tuple, in
+        the order of _lower_cover_runs, each entry the one shared int of
+        its ordinal, so that a row costs only its pointers.
 
         Built by arithmetic on enumerate_level's blocks, from the rows of
         the levels below.  For e = (s, m) + t, t in level r = n - s*m:
@@ -340,13 +339,12 @@ class Universe:
           ordinal plus a constant for each k.
         """
         if self._covers is None:
-            covers, offsets = array('i'), array('i', [0, 0])
+            rows, ordinals = [()], list(range(len(self.elements)))
             off, start = self._offsets, _start
             for n in range(1, self.max_card + 1):
                 for s, m, r in _blocks(n):
                     if s == 1:
-                        covers.append(off[n] - 1)
-                        offsets.append(len(covers))
+                        rows.append((ordinals[off[n] - 1],))
                         continue
                     tail = (off[n - 1] + start(n - 1, s, m) - off[r - 1]
                             - start(r - 1, s, 0)) if r else 0
@@ -359,11 +357,9 @@ class Universe:
                         shift = (head + start(r + s - 1, s - 1, k + 1)
                                  - start(r, s - 1, k))
                         for g in range(lo, hi):
-                            covers.append(g + shift)
-                            covers.extend([x + tail for x in
-                                           covers[offsets[g]:offsets[g + 1]]])
-                            offsets.append(len(covers))
-            self._covers = covers, offsets
+                            rows.append((ordinals[g + shift], *[
+                                ordinals[x + tail] for x in rows[g]]))
+            self._covers = rows
         return self._covers
 
     def down_bits(self):
@@ -374,11 +370,10 @@ class Universe:
         """
         if self._down_bits is None:
             self._check_bit_cache()
-            covers, offsets = self.cover_table()
             bits = []
-            for i in range(len(self.elements)):
+            for i, row in enumerate(self.cover_table()):
                 mask = 1 << i
-                for j in covers[offsets[i]:offsets[i + 1]]:
+                for j in row:
                     mask |= bits[j]
                 bits.append(mask)
             self._down_bits = bits
@@ -396,11 +391,11 @@ class Universe:
         """
         if self._up_bits is None:
             self._check_bit_cache()
-            covers, offsets = self.cover_table()
+            rows = self.cover_table()
             bits = [0] * len(self.elements)
             for i in range(len(bits) - 1, -1, -1):
                 mask = bits[i] = bits[i] | 1
-                for j in covers[offsets[i]:offsets[i + 1]]:
+                for j in rows[i]:
                     bits[j] |= mask << i - j
             self._up_bits = bits
         return self._up_bits
@@ -409,23 +404,21 @@ class Universe:
         """The ordinals j < stop strictly above a member of mask, as a mask:
         one pass up the cover table from past mask's lowest bit marks j when
         a lower cover, which has a smaller ordinal, is in mask or marked."""
-        covers, offsets = self.cover_table()
+        rows = self.cover_table()
         seen = bytearray(format(mask, 'b').zfill(stop)[:-stop - 1:-1],
                          'ascii').translate(bytes.maketrans(b'01', b'\0\1'))
         hit = bytearray(b'0') * stop
         for j in range((mask & -mask).bit_length() or stop, stop):
-            for c in covers[offsets[j]:offsets[j + 1]]:
+            for c in rows[j]:
                 if seen[c]:
                     seen[j], hit[j] = 1, 49     # 49 is ord('1')
                     break
         return int(hit[::-1] or b'0', 2)
 
     def up_mask(self, i):
-        """up_bits()[i] << i, read off the down cache: bit j >= i is set
-        when down_bits()[j] has bit i."""
-        down, bit = self.down_bits(), 1 << i
-        return int('0' + ''.join('1' if down[j] & bit else '0' for j in
-                                 range(len(down) - 1, i - 1, -1)), 2) << i
+        """up_bits()[i] << i, the mask of the ordinals j with elem_i <=
+        elem_j, by one up pass (strictly_above); reads neither bit cache."""
+        return self.strictly_above(1 << i, len(self.elements)) | 1 << i
 
 
 def enumerate_universe(max_card):

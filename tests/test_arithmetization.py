@@ -97,6 +97,19 @@ def test_encode_ceiling():
             A.encode(p(text))
 
 
+def test_encode_length_ceiling():
+    assert A.ENCODE_LENGTH_CEILING == 2 ** 15
+    assert A.encode(p('32768[1]')) == 2 ** 32767
+    assert A.decode(2 ** 32767) == p('32768[1]')
+    # the next power of two still decodes, to a partition encode refuses
+    assert A.decode(2 ** 32768) == p('32769[1]')
+    for text in ('32769[1]', '1000000[2]'):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match='length ceiling'):
+            A.encode(p(text))
+        assert time.perf_counter() - start < 0.1, text
+
+
 def _factorization_runs(n, primes):
     """n factored by trial division over the ascending primes, read as
     runs: the i-th prime to the power e is the run (i, e)."""

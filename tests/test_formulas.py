@@ -77,6 +77,10 @@ def test_parse_errors_carry_positions():
         F.parse("const c = [nope];\nx <= c")
     with pytest.raises(F.ParseError):
         F.parse("const c = [1];\nforall c (c <= x)")
+    with pytest.raises(F.ParseError, match="expected '\\(', found 'x'"):
+        F.parse("forall x x <= y")
+    with pytest.raises(F.ParseError, match='expected <=, = or != after a term'):
+        F.parse("x y")
 
 
 @pytest.mark.parametrize('text, message, line, col', [
@@ -837,12 +841,14 @@ def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
         assert F.defined_relation(_conjugated(f), names, UNI9, config) == want
 
 
-def test_constant_up_mask_is_read_off_the_down_cache():
-    for first in ('down_bits', 'up_bits'):
+def test_constant_up_mask_builds_no_bit_cache():
+    for first in (None, 'down_bits', 'up_bits'):
         universe = Universe(10)
-        getattr(universe, first)()
+        if first:
+            getattr(universe, first)()
         masks = [universe.up_mask(o) for o in range(len(universe))]
-        assert (universe._up_bits is None) == (first == 'down_bits')
+        assert (universe._down_bits is None) == (first != 'down_bits')
+        assert (universe._up_bits is None) == (first != 'up_bits')
         assert masks == [m << o for o, m in enumerate(universe.up_bits())]
 
 

@@ -151,12 +151,11 @@ def test_reconstruction_reports_a_collision_above_level_3(monkeypatch):
     table = Universe.cover_table
 
     def merged(universe):
-        covers, offsets = table(universe)
-        covers = covers[:]
-        a, b = (offsets[universe.ordinal(parse_partition(text))]
+        rows = list(table(universe))
+        a, b = (universe.ordinal(parse_partition(text))
                 for text in ('[4]', '2[2]'))
-        covers[b] = covers[a]       # 2[2] now covers [3] alone, as [4] does
-        return covers, offsets
+        rows[b] = rows[a]           # 2[2] now covers [3] alone, as [4] does
+        return rows
     monkeypatch.setattr(Universe, 'cover_table', merged)
     report = harness.reconstruction_check(6)
     assert report.verdict == 'fail'
@@ -169,15 +168,10 @@ def _edit_cover_row(monkeypatch, text, edit):
     table = Universe.cover_table
 
     def edited(universe):
-        covers, offsets = table(universe)
         cut = universe.ordinal(parse_partition(text))
-        rows = [covers[offsets[i]:offsets[i + 1]]
-                for i in range(len(offsets) - 1)]
-        rows[cut] = edit(rows[cut])
-        offsets = [0]
-        for row in rows:
-            offsets.append(offsets[-1] + len(row))
-        return [c for row in rows for c in row], offsets
+        rows = list(table(universe))
+        rows[cut] = tuple(edit(rows[cut]))
+        return rows
     monkeypatch.setattr(Universe, 'cover_table', edited)
 
 
@@ -415,6 +409,20 @@ def test_corpus_report_catches_a_swapped_formula():
     problems = {w['problem'] for w in report.witnesses}
     assert 'classification drifted' in problems
     assert 'disagrees with the oracle set' in problems
+
+
+def test_corpus_report_needs_a_registered_name():
+    with pytest.raises(harness.UsageError, match='no expectation registered'):
+        harness.corpus_report('no-such-file', formulas.corpus()['empty'], 3,
+                              (0,))
+
+
+def test_corpus_report_names_a_printer_that_changes_the_tree(monkeypatch):
+    monkeypatch.setattr(formulas, 'print_file', lambda f: 'x <= x')
+    report = harness.corpus_report('empty', formulas.corpus()['empty'], 3,
+                                   (0, 1))
+    assert report.verdict == 'fail'
+    assert {'problem': 'printer roundtrip changed the tree'} in report.witnesses
 
 
 def test_corpus_report_refuses_an_empty_slack_schedule():
@@ -787,6 +795,8 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run_cli('decode', '1000001') == 2
     assert capsys.readouterr().err.startswith('error:')
     assert run_cli('encode', '[78499]') == 2
+    assert capsys.readouterr().err.startswith('error:')
+    assert run_cli('encode', '1000000[2]') == 2     # over 2^15 parts
     assert capsys.readouterr().err.startswith('error:')
     assert run_cli('decode', '1073741824') == 0
     assert capsys.readouterr().out.strip() == '31[1]'

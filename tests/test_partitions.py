@@ -5,7 +5,6 @@ import collections
 import sys
 import tracemalloc
 import types
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +325,8 @@ def test_universe_refuses_a_bound_that_is_not_an_int():
     for bound in (True, False, 2.0, 4.5, '3', None):
         with pytest.raises(PartitionError, match='maxCard must be an integer'):
             Universe(bound)
+    with pytest.raises(PartitionError, match='maxCard must be >= 0'):
+        Universe(-1)
 
 
 def test_universe_lookup():
@@ -358,11 +359,10 @@ def test_a_universe_keeps_no_per_element_map():
 
 def test_cover_table_matches_lower_covers():
     for universe in (UNI, Universe(22)):
-        covers, offsets = universe.cover_table()
-        assert len(offsets) == len(universe) + 1
+        rows = universe.cover_table()
+        assert len(rows) == len(universe)
         for i, pi in enumerate(universe.elements):
-            table = [universe.elements[j]
-                     for j in covers[offsets[i]:offsets[i + 1]]]
+            table = [universe.elements[j] for j in rows[i]]
             assert len(table) == len(set(table))
             assert set(table) == lower_covers(pi)
 
@@ -382,21 +382,20 @@ def test_block_starts_count_the_partitions_before_each_block():
 def _cover_table_by_lookup(universe):
     """The cover table built the direct way: every lower cover's run tuple
     looked up among the run tuples of the level below."""
-    covers, offsets, below = array('i'), array('i', [0]), {}
+    rows, below = [], {}
     for n, level in enumerate(universe.levels):
         for pi in level:
-            covers.extend(below[r] for r in P._lower_cover_runs(pi.runs))
-            offsets.append(len(covers))
+            rows.append(tuple(below[r] for r in P._lower_cover_runs(pi.runs)))
         below = {pi.runs: i for i, pi in
                  enumerate(level, universe.ordinal_cutoff(n - 1))}
-    return covers, offsets
+    return rows
 
 
 def test_cover_table_is_the_direct_lookup_table():
     universe = Universe(30)
-    covers, offsets = universe.cover_table()
-    assert (covers, offsets) == _cover_table_by_lookup(universe)
-    assert len(covers) == sum(len(pi.runs) for pi in universe)
+    rows = universe.cover_table()
+    assert rows == _cover_table_by_lookup(universe)
+    assert sum(map(len, rows)) == sum(len(pi.runs) for pi in universe)
 
 
 def test_each_level_is_built_from_the_levels_below_once():
@@ -414,8 +413,7 @@ def test_cover_table_does_not_derive_covers_from_run_tuples(monkeypatch):
         raise AssertionError('the cover table derived a run tuple')
     monkeypatch.setattr(P, '_lower_cover_runs', refuse)
     universe = Universe(12)
-    covers, offsets = universe.cover_table()
-    assert len(offsets) == len(universe) + 1
+    assert len(universe.cover_table()) == len(universe)
     with pytest.raises(AssertionError):
         lower_covers(parse_partition('(2,1)'))   # the patch is in force
 
@@ -477,6 +475,20 @@ def test_strictly_above_edge_cases():
     for mask in (1 << two, 1 << 1 | 1 << ones, 0b1010):
         assert UNI12.strictly_above(mask, n) == _strictly_above_by_leq(
             UNI12, mask, n)
+
+
+def test_cover_table_rows_share_their_ordinals():
+    # one tuple of pointers per element; ints made per entry, not shared,
+    # would take about 1.7 MB at 25
+    universe = Universe(25)
+    tracemalloc.start()
+    try:
+        rows = universe.cover_table()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(universe) == 9296
+    assert held <= 2 ** 20, held
 
 
 def test_bit_caches_construct_no_partitions(monkeypatch):
@@ -574,3 +586,5 @@ def test_parse_rejects_garbage():
                  '(1,,2)', '(,3)', '(3,,)', '(,)']:
         with pytest.raises(PartitionError):
             parse_partition(text)
+    with pytest.raises(PartitionError, match='unterminated tuple form'):
+        parse_partition('(3,2')

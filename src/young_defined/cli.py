@@ -86,7 +86,10 @@ def _cmd_embed(args):
         return 1
     for element in poset.elements:
         print('%s -> %s' % (element, render(mapping[element])))
-    return 0
+    violation = harness.verify_embedding(poset, mapping)
+    if violation:
+        print('not an embedding: %s' % json.dumps(violation, sort_keys=True))
+    return 1 if violation else 0
 
 
 def _cmd_eval(args):

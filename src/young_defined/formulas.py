@@ -13,7 +13,7 @@ whatever the caller assigns; definedSet sweeps them up to maxCard only.
 The evaluator is relational: a subformula is a bitmask row over the
 universe ordinals of one variable, connectives combine rows with & | ^
 (`a & b` and `a -> b` ask b only at the bits a left set), and an atom
-is a lookup in the universe's bit caches.  A quantified subformula is a
+is a lookup in the universe's rows, or one leq.  A quantified subformula is a
 row over its innermost bound free variable, kept in its own memo for
 each value of its other free variables, so it is computed once per
 outer value, not once per assignment of the variables around it.  It is
@@ -489,9 +489,9 @@ class _Compiled:
         self.universe = universe
         self.full = (1 << cutoff) - 1
         self.values = list(universe.elements)
-        self.down = list(universe.down_bits())
         self.up_masks = {}      # constant ordinal -> its full-width up mask
         self.outside = {}
+        self.outside_rows = []  # their down rows, by ordinal past the universe
         self.scalar = None      # the run() entry, compiled on first use
 
     def ordinal(self, value):
@@ -502,8 +502,8 @@ class _Compiled:
             self.outside[value] = len(self.values)
             self.values.append(value)
             candidates = self.values[:self.full.bit_length()]
-            self.down.append(sum(1 << i for i, u in enumerate(candidates)
-                                 if leq(u, value)))
+            self.outside_rows.append(sum(
+                1 << i for i, u in enumerate(candidates) if leq(u, value)))
         return self.outside[value]
 
     def run(self, env):
@@ -573,17 +573,29 @@ class _Compiled:
             other = self._operand(term)
             if isinstance(f, Eq):
                 return lambda env, care: (1 << other(env)) & care
-            if isinstance(term, Const):    # the full mask, built once
+            if isinstance(term, Const) and not left_is:    # built once
                 o = self.ordinal(term.value)
-                if not left_is and o not in self.up_masks:
+                if o not in self.up_masks:
                     # nothing in the universe lies above an outside value
                     self.up_masks[o] = (self.universe.up_mask(o)
                                         if o < len(self.universe) else 0)
-                mask = self.down[o] if left_is else self.up_masks[o]
+                mask = self.up_masks[o]
                 return lambda env, care: mask & care
             if left_is:
-                down = self.down
-                return lambda env, care: down[other(env)] & care
+                kept, outside, values = (self.universe.down_memo(),
+                                         self.outside_rows, self.values)
+                n, down_row = len(kept), self.universe.down_row
+
+                def below(env, care):
+                    # a built row is read; else a care of at most one bit
+                    # is one leq, and a wider care builds the row
+                    o = other(env)
+                    row = kept[o] if o < n else outside[o - n]
+                    if row is None and not care & care - 1:
+                        i = care.bit_length() - 1
+                        return care if leq(values[i], values[o]) else 0
+                    return (down_row(o) if row is None else row) & care
+                return below
 
             def above(env, care):
                 # the up cache is built on first use; nothing lies above
@@ -758,6 +770,7 @@ def compile_formula(f, universe, config):
     if universe.max_card < need:
         raise EvalError('universe covers cardinality %d but the evaluation '
                         'needs %d' % (universe.max_card, need))
+    universe._check_bit_cache()     # whichever rows the formula reads
     return _Compiled(f, universe, universe.ordinal_cutoff(need))
 
 

@@ -329,7 +329,8 @@ class FinitePoset:
 
 def embed_poset(poset, max_card):
     """An injective map into the partitions of cardinality <= max_card
-    that preserves and reflects the strict order, or None.
+    that preserves and reflects the strict order, or None; callers
+    re-check a map found with verify_embedding.
 
     Backtracking assigns poset elements in depth order, ties as declared;
     candidate images are tried in enumeration order (cardinality, then
@@ -390,27 +391,21 @@ def embed_poset(poset, max_card):
             stack.append(narrowed)
     if not stack:
         return None
-    mapping = {e: universe.elements[u] for e, u in zip(order, images)}
-    verify_embedding(poset, mapping)
-    return mapping
+    return {e: universe.elements[u] for e, u in zip(order, images)}
 
 
 def verify_embedding(poset, mapping):
-    """Independent pairwise re-check of an embedding, via leq directly."""
+    """Independent pairwise re-check of an embedding, via leq directly:
+    None, or the first violated pair, of kind 'not injective' (a shared
+    image) or 'order disagreement' (a < b and leq of the images differ)."""
     for a in poset.elements:
         for b in poset.elements:
-            if a == b:
-                continue
             fa, fb = mapping[a], mapping[b]
-            if fa == fb:
-                raise RuntimeError('embedding is not injective: %s, %s' % (a, b))
-            strictly_below = leq(fa, fb)
-            if ((a, b) in poset.less) != strictly_below:
-                raise RuntimeError(
-                    'embedding check failed on (%s, %s): poset says %s, '
-                    'images %s, %s say %s'
-                    % (a, b, (a, b) in poset.less, render(fa), render(fb),
-                       strictly_below))
+            if a != b and (fa == fb or ((a, b) in poset.less) != leq(fa, fb)):
+                return {'kind': ('not injective' if fa == fb
+                                 else 'order disagreement'),
+                        'pair': [a, b], 'images': [render(fa), render(fb)]}
+    return None
 
 
 def embed_report(name, poset, max_card, expect_found=True):
@@ -425,6 +420,9 @@ def embed_report(name, poset, max_card, expect_found=True):
                                 'does not refute embeddability in the '
                                 'unbounded order' % max_card)
     mismatches = [] if found == expect_found else [dict(details)]
+    violation = found and verify_embedding(poset, mapping)
+    if violation:
+        mismatches.append(violation)
     return CheckReport(
         name, '%d elements, %d strict pairs, images of cardinality <= %d'
         % (len(poset.elements), len(poset.less), max_card),

@@ -292,7 +292,7 @@ class Universe:
         self._offsets = list(itertools.accumulate(map(len, self.levels),
                                                   initial=0))
         self._covers = None
-        self._down_bits = None
+        self._down_bits = None      # down_row's store, None until first asked
         self._up_bits = None
 
     def __len__(self):
@@ -362,22 +362,28 @@ class Universe:
             self._covers = rows
         return self._covers
 
-    def down_bits(self):
-        """For each ordinal i, a bitmask of the ordinals j with elem_j <= elem_i.
-
-        Built by one pass up the levels: the down-set of pi is pi itself
-        together with the down-sets of its lower covers.
-        """
+    def down_memo(self):
+        """down_row's store, made on first use: row i once built, else None."""
         if self._down_bits is None:
-            self._check_bit_cache()
-            bits = []
-            for i, row in enumerate(self.cover_table()):
-                mask = 1 << i
-                for j in row:
-                    mask |= bits[j]
-                bits.append(mask)
-            self._down_bits = bits
+            self._down_bits = [None] * len(self.elements)
         return self._down_bits
+
+    def down_row(self, i):
+        """The bitmask of the ordinals j with elem_j <= elem_i, built on
+        first request and kept: elem_i's own bit ORed with the rows of its
+        lower covers, each missing one built first (recursion <= card deep)."""
+        rows = self.down_memo()
+        if rows[i] is None:
+            mask = 1 << i
+            for j in self.cover_table()[i]:
+                mask |= self.down_row(j) if rows[j] is None else rows[j]
+            rows[i] = mask
+        return rows[i]
+
+    def down_bits(self):
+        """Each down_row(i) at i, asked in order so that none recurses."""
+        self._check_bit_cache()
+        return [self.down_row(i) for i in range(len(self.elements))]
 
     def up_bits(self):
         """For each ordinal i, a bitmask of the ordinals j >= i with

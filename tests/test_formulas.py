@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from young_defined import formulas as F
 from young_defined import harness
 from young_defined.catalog import is_rectangular, is_total, is_trivial
-from young_defined.partitions import (EMPTY, Universe, conjugate,
-                                      enumerate_universe, leq, lower_covers,
-                                      parse_partition, render, upper_covers)
+from young_defined.partitions import (EMPTY, ResourceLimit, Universe,
+                                      conjugate, enumerate_universe, leq,
+                                      lower_covers, parse_partition, render,
+                                      upper_covers)
 
 p = parse_partition
 UNI6 = enumerate_universe(6)
@@ -839,6 +840,55 @@ def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
         want = {tuple(map(conjugate, t))
                 for t in F.defined_relation(f, names, UNI9, config)}
         assert F.defined_relation(_conjugated(f), names, UNI9, config) == want
+
+
+def test_one_bit_ask_agrees_with_the_down_row():
+    # a one-bit care on `x <= y` is one leq(values[i], values[o]) until
+    # o's row is built, which a wider care does; then the row is read.
+    # Outside values are numbered after the universe, and keep leq rows
+    universe = Universe(12)
+    config = F.EvalConfig(11, 1)
+    compiled = F.compile_formula(F.parse('x <= y'), universe, config)
+    outside = [p('[13]'), p('[7]+[6]'), p('[20]+[1]')]
+    for v in outside:
+        compiled.ordinal(v)
+    rows = Universe(12).down_bits() + compiled.outside_rows
+    assert compiled.outside_rows == [
+        sum(1 << i for i, u in enumerate(universe.elements) if leq(u, v))
+        for v in outside]
+    atom = compiled._closure(F.parse('x <= y'), 'x', {'y': 0})
+    n = len(universe)
+    for wide in (False, True):
+        for o, row in enumerate(rows):
+            if wide:
+                assert atom({'y': o}, (1 << n) - 1) == row
+            for i in range(n):
+                assert atom({'y': o}, 1 << i) == row & 1 << i, (o, i, wide)
+        # no one-bit ask built a row
+        assert (universe._down_bits == [None] * n) != wide
+    # the guard x = c leaves y out, so x <= y is asked at c's bit alone
+    for c in universe.elements:
+        f = F.Exists('x', F.And(F.Eq(F.Var('x'), F.Const('c', c)),
+                                F.Leq(F.Var('x'), F.Var('y'))))
+        for y in outside:
+            assert F.evaluate(f, {'y': y}, universe, config) == leq(c, y)
+
+
+def test_empty_formula_builds_at_most_two_down_rows():
+    universe = Universe(25)
+    f = F.parse(F.corpus()['empty'])
+    assert F.defined_set(f, 'x', universe, F.EvalConfig(24, 1)) == {EMPTY}
+    assert sum(row is not None for row in universe._down_bits) <= 2
+    assert universe._up_bits is None
+
+
+def test_compile_formula_refuses_past_the_bit_cache_ceiling():
+    big = enumerate_universe(40)
+    with pytest.raises(ResourceLimit):
+        F.compile_formula(F.parse('forall y (x <= y)'), big, F.EvalConfig(30))
+    # refused before the cover table or any row was built
+    assert big._covers is None
+    assert big._down_bits is None and big._up_bits is None
 
 
 def test_constant_up_mask_builds_no_bit_cache():

@@ -290,13 +290,13 @@ def test_embed_chain_and_verify():
     poset = harness.FinitePoset.chain(5)
     mapping = harness.embed_poset(poset, 6)
     assert mapping is not None
-    harness.verify_embedding(poset, mapping)
+    assert harness.verify_embedding(poset, mapping) is None
 
 
 def test_embed_crown():
     poset = harness.FinitePoset.crown()
     mapping = harness.embed_poset(poset, 8)
-    harness.verify_embedding(poset, mapping)
+    assert harness.verify_embedding(poset, mapping) is None
 
 
 def test_embed_not_found_when_the_bound_is_too_low():
@@ -368,12 +368,39 @@ def test_embed_a_truncation_into_itself():
 
 def test_verify_embedding_rejects_bad_maps():
     poset = harness.FinitePoset.chain(2)
-    with pytest.raises(RuntimeError):
-        harness.verify_embedding(poset, {'e1': parse_partition('[1]'),
-                                         'e2': parse_partition('[1]')})
-    with pytest.raises(RuntimeError):
-        harness.verify_embedding(poset, {'e1': parse_partition('[2]'),
-                                         'e2': parse_partition('2[1]')})
+    assert harness.verify_embedding(poset, {
+        'e1': parse_partition('[1]'), 'e2': parse_partition('[1]')}) == {
+        'kind': 'not injective', 'pair': ['e1', 'e2'],
+        'images': ['[1]', '[1]']}
+    assert harness.verify_embedding(poset, {
+        'e1': parse_partition('[2]'), 'e2': parse_partition('2[1]')}) == {
+        'kind': 'order disagreement', 'pair': ['e1', 'e2'],
+        'images': ['[2]', '2[1]']}
+    # reflecting the order: images ordered where the poset has no pair
+    antichain = harness.FinitePoset.antichain(2)
+    assert harness.verify_embedding(antichain, {
+        'a1': parse_partition('[1]'), 'a2': parse_partition('[2]')}) == {
+        'kind': 'order disagreement', 'pair': ['a1', 'a2'],
+        'images': ['[1]', '[2]']}
+
+
+def test_a_map_that_fails_its_re_check_is_a_failed_suite(monkeypatch, capsys,
+                                                          tmp_path):
+    # every element sent to one image: the report records the violation
+    # as a mismatch, and embed exits 1, not 2
+    def collapse(poset, max_card):
+        return dict.fromkeys(poset.elements, parse_partition('[1]'))
+    monkeypatch.setattr(harness, 'embed_poset', collapse)
+    report = harness.embed_report('embed-chain-3',
+                                  harness.FinitePoset.chain(3), 4)
+    assert report.verdict == 'fail'
+    assert report.witnesses == [{'kind': 'not injective', 'pair': ['e1', 'e2'],
+                                 'images': ['[1]', '[1]']}]
+    path = tmp_path / 'chain.txt'
+    path.write_text('elem e1\nelem e2\nelem e3\nlt e1 e2\nlt e2 e3\n')
+    assert run_cli('embed', '--poset', str(path), '--max-card', '4') == 1
+    assert 'not an embedding: {"images": ["[1]", "[1]"]' in \
+        capsys.readouterr().out
 
 
 def test_embed_report_both_expectations():

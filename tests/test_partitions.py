@@ -440,6 +440,29 @@ def test_universe_bit_caches_agree_with_leq():
 UNI12 = Universe(12)
 
 
+@pytest.mark.parametrize('max_card', [12, 16])
+def test_down_rows_asked_top_first_equal_the_full_cache(max_card):
+    # the first ask recurses down a chain of max_card lower covers
+    lazy = Universe(max_card)
+    rows = [lazy.down_row(i) for i in reversed(range(len(lazy)))]
+    assert rows[::-1] == Universe(max_card).down_bits()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, len(UNI12) - 1), max_size=30))
+def test_down_rows_in_any_order_build_only_the_down_set_asked(asked):
+    full = Universe(12).down_bits()
+    lazy = Universe(12)
+    reached = 0
+    for i in asked:
+        assert lazy.down_row(i) == full[i]
+        reached |= full[i]
+    # a row is built exactly when it lies below a row asked for
+    built = lazy._down_bits or []
+    assert sum(1 << j for j, row in enumerate(built)
+               if row is not None) == reached
+
+
 def _strictly_above_by_leq(universe, mask, stop):
     """The ordinals j < stop strictly above a member of mask, by leq."""
     members = [universe.elements[i] for i in range(len(universe))

@@ -489,9 +489,7 @@ class _Compiled:
         self.universe = universe
         self.full = (1 << cutoff) - 1
         self.values = list(universe.elements)
-        self.up_masks = {}      # constant ordinal -> its full-width up mask
         self.outside = {}
-        self.outside_rows = []  # their down rows, by ordinal past the universe
         self.scalar = None      # the run() entry, compiled on first use
 
     def ordinal(self, value):
@@ -501,9 +499,6 @@ class _Compiled:
         if value not in self.outside:
             self.outside[value] = len(self.values)
             self.values.append(value)
-            candidates = self.values[:self.full.bit_length()]
-            self.outside_rows.append(sum(
-                1 << i for i, u in enumerate(candidates) if leq(u, value)))
         return self.outside[value]
 
     def run(self, env):
@@ -575,26 +570,25 @@ class _Compiled:
                 return lambda env, care: (1 << other(env)) & care
             if isinstance(term, Const) and not left_is:    # built once
                 o = self.ordinal(term.value)
-                if o not in self.up_masks:
-                    # nothing in the universe lies above an outside value
-                    self.up_masks[o] = (self.universe.up_mask(o)
-                                        if o < len(self.universe) else 0)
-                mask = self.up_masks[o]
+                # nothing in the universe lies above an outside value
+                mask = self.universe.up_mask(o) if o < len(self.universe) else 0
                 return lambda env, care: mask & care
             if left_is:
-                kept, outside, values = (self.universe.down_memo(),
-                                         self.outside_rows, self.values)
-                n, down_row = len(kept), self.universe.down_row
+                values, n = self.values, len(self.universe)
+                down_row = self.universe.down_row
 
                 def below(env, care):
-                    # a built row is read; else a care of at most one bit
-                    # is one leq, and a wider care builds the row
+                    # a care of at most one bit is one leq, a wider care
+                    # reads the down row, and a value outside the universe
+                    # has no row: it is one leq at each bit of care
                     o = other(env)
-                    row = kept[o] if o < n else outside[o - n]
-                    if row is None and not care & care - 1:
+                    if not care & care - 1:
                         i = care.bit_length() - 1
                         return care if leq(values[i], values[o]) else 0
-                    return (down_row(o) if row is None else row) & care
+                    if o < n:
+                        return down_row(o) & care
+                    return sum(1 << i for i in _ones(care)
+                               if leq(values[i], values[o]))
                 return below
 
             def above(env, care):
@@ -770,7 +764,6 @@ def compile_formula(f, universe, config):
     if universe.max_card < need:
         raise EvalError('universe covers cardinality %d but the evaluation '
                         'needs %d' % (universe.max_card, need))
-    universe._check_bit_cache()     # whichever rows the formula reads
     return _Compiled(f, universe, universe.ordinal_cutoff(need))
 
 

@@ -25,12 +25,12 @@ class ResourceLimit(RuntimeError):
 MAX_ENUMERATION_CARD = 50
 
 # Practical ceiling for the two bit caches of one universe together
-# (Universe.down_bits and up_bits), checked before either is built.  With
-# n elements, down mask i spans i + 1 bits and up mask i, stored from its
-# own ordinal, at most n - i, so the masks take under n**2 / 8 bytes; each
-# element adds two list slots and two int headers.  Counted from the mask
-# widths: ~156 MB at maxCard 31, ~1.21 GB at 36, ~1.80 GB at 37 and
-# ~2.66 GB at 38, so the ceiling admits 37 and refuses 38.
+# (Universe.down_bits and up_bits), checked where the down-row store or the
+# up cache is made.  With n elements, down mask i spans i + 1 bits and up
+# mask i, stored from its own ordinal, at most n - i, so the masks take
+# under n**2 / 8 bytes; each element adds two list slots and two int
+# headers.  Counted from the mask widths: ~156 MB at maxCard 31, ~1.21 GB
+# at 36, ~1.80 GB at 37 and ~2.66 GB at 38: the ceiling admits 37, not 38.
 MAX_BIT_CACHE_BYTES = 2 * 2 ** 30
 
 
@@ -294,6 +294,7 @@ class Universe:
         self._covers = None
         self._down_bits = None      # down_row's store, None until first asked
         self._up_bits = None
+        self._up_masks = {}         # up_mask's, by ordinal
 
     def __len__(self):
         return len(self.elements)
@@ -362,17 +363,15 @@ class Universe:
             self._covers = rows
         return self._covers
 
-    def down_memo(self):
-        """down_row's store, made on first use: row i once built, else None."""
-        if self._down_bits is None:
-            self._down_bits = [None] * len(self.elements)
-        return self._down_bits
-
     def down_row(self, i):
         """The bitmask of the ordinals j with elem_j <= elem_i, built on
-        first request and kept: elem_i's own bit ORed with the rows of its
-        lower covers, each missing one built first (recursion <= card deep)."""
-        rows = self.down_memo()
+        first request and kept in a store made after the ceiling check:
+        elem_i's own bit ORed with the rows of its lower covers, each
+        missing one built first (recursion <= card deep)."""
+        rows = self._down_bits
+        if rows is None:
+            self._check_bit_cache()
+            rows = self._down_bits = [None] * len(self.elements)
         if rows[i] is None:
             mask = 1 << i
             for j in self.cover_table()[i]:
@@ -381,8 +380,8 @@ class Universe:
         return rows[i]
 
     def down_bits(self):
-        """Each down_row(i) at i, asked in order so that none recurses."""
-        self._check_bit_cache()
+        """Each down_row(i) at i, asked in order so that none recurses; the
+        first makes the ceiling check before anything is allocated."""
         return [self.down_row(i) for i in range(len(self.elements))]
 
     def up_bits(self):
@@ -423,8 +422,11 @@ class Universe:
 
     def up_mask(self, i):
         """up_bits()[i] << i, the mask of the ordinals j with elem_i <=
-        elem_j, by one up pass (strictly_above); reads neither bit cache."""
-        return self.strictly_above(1 << i, len(self.elements)) | 1 << i
+        elem_j: one up pass (strictly_above), kept; reads neither cache."""
+        masks = self._up_masks
+        if i not in masks:
+            masks[i] = self.strictly_above(1 << i, len(self.elements)) | 1 << i
+        return masks[i]
 
 
 def enumerate_universe(max_card):

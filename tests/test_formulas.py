@@ -843,17 +843,17 @@ def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
 
 
 def test_one_bit_ask_agrees_with_the_down_row():
-    # a one-bit care on `x <= y` is one leq(values[i], values[o]) until
-    # o's row is built, which a wider care does; then the row is read.
-    # Outside values are numbered after the universe, and keep leq rows
+    # a one-bit care on `x <= y` is one leq(values[i], values[o]) and builds
+    # no row, not even the row store; a wider care reads o's down row.
+    # Outside values are numbered after the universe and have no row: each
+    # bit of a wide care is one leq against them
     universe = Universe(12)
     config = F.EvalConfig(11, 1)
     compiled = F.compile_formula(F.parse('x <= y'), universe, config)
     outside = [p('[13]'), p('[7]+[6]'), p('[20]+[1]')]
     for v in outside:
         compiled.ordinal(v)
-    rows = Universe(12).down_bits() + compiled.outside_rows
-    assert compiled.outside_rows == [
+    rows = Universe(12).down_bits() + [
         sum(1 << i for i, u in enumerate(universe.elements) if leq(u, v))
         for v in outside]
     atom = compiled._closure(F.parse('x <= y'), 'x', {'y': 0})
@@ -865,7 +865,7 @@ def test_one_bit_ask_agrees_with_the_down_row():
             for i in range(n):
                 assert atom({'y': o}, 1 << i) == row & 1 << i, (o, i, wide)
         # no one-bit ask built a row
-        assert (universe._down_bits == [None] * n) != wide
+        assert (universe._down_bits is None) != wide
     # the guard x = c leaves y out, so x <= y is asked at c's bit alone
     for c in universe.elements:
         f = F.Exists('x', F.And(F.Eq(F.Var('x'), F.Const('c', c)),
@@ -882,13 +882,62 @@ def test_empty_formula_builds_at_most_two_down_rows():
     assert universe._up_bits is None
 
 
-def test_compile_formula_refuses_past_the_bit_cache_ceiling():
+def test_a_formula_reading_rows_is_refused_past_the_bit_cache_ceiling():
+    # compile_formula allocates nothing, so it returns; the first down row
+    # the formula asks for is refused where the row store would be made
     big = enumerate_universe(40)
+    f = F.parse('forall y (x <= y)')
+    F.compile_formula(f, big, F.EvalConfig(30))
     with pytest.raises(ResourceLimit):
-        F.compile_formula(F.parse('forall y (x <= y)'), big, F.EvalConfig(30))
+        F.defined_set(f, 'x', big, F.EvalConfig(30))
     # refused before the cover table or any row was built
     assert big._covers is None
     assert big._down_bits is None and big._up_bits is None
+
+
+def test_formulas_reading_no_row_evaluate_past_the_bit_cache_ceiling():
+    # 38 is the first maxCard whose bit caches the ceiling refuses; an up
+    # pass over the cover table is not budgeted, a down row is
+    universe = enumerate_universe(38)
+    config = F.EvalConfig(37, 1)
+    corpus = F.corpus()
+    assert (F.defined_set(F.parse(corpus['totality']), 'x', universe, config)
+            == {pi for pi in universe if pi.card <= 37 and is_total(pi)})
+    c = p('[3]+[1]')
+    assert (F.defined_set(F.parse(UPPER_COVER % render(c)), 'x', universe,
+                          config)
+            == upper_covers(c, universe))
+    for name in ('empty', 'triviality'):
+        with pytest.raises(ResourceLimit):
+            F.defined_set(F.parse(corpus[name]), 'x', universe, config)
+    assert universe._down_bits is None and universe._up_bits is None
+
+
+def test_an_outside_value_on_the_right_is_asked_below_it():
+    # x <= big at a wide care is one leq(x, big) per bit, which holds at
+    # the partitions of at most two rows; read the other way it never does
+    f = F.parse('const big = [9]+[9];\nx <= big')
+    for slack in (0, 1):
+        assert (F.defined_set(f, 'x', UNI6, F.EvalConfig(5, slack))
+                == {pi for pi in UNI6 if pi.card <= 5 and pi.length <= 2})
+
+
+def test_stability_check_makes_one_up_pass_for_its_constant(monkeypatch):
+    passes = []
+    strictly_above = Universe.strictly_above
+
+    def counted(self, mask, stop):
+        passes.append(mask)
+        return strictly_above(self, mask, stop)
+    monkeypatch.setattr(Universe, 'strictly_above', counted)
+    universe = Universe(12)
+    f = F.parse(F.corpus()['totality'])
+    sets, flips = F.stability_check(f, ('x',), universe, 8, [0, 1, 2, 3])
+    # one pass for c11 over the four compiles, kept by the universe
+    assert passes == [1 << universe.ordinal(p('2[1]'))]
+    assert sets == [{pi for pi in universe if pi.card <= 8 and is_total(pi)}
+                    ] * 4
+    assert flips == []
 
 
 def test_constant_up_mask_builds_no_bit_cache():

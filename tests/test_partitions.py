@@ -548,13 +548,44 @@ def test_bit_cache_ceiling():
     assert bit_cache_bytes(elements(37)) <= MAX_BIT_CACHE_BYTES
     assert bit_cache_bytes(elements(38)) > MAX_BIT_CACHE_BYTES
     big = enumerate_universe(40)
-    with pytest.raises(ResourceLimit):
-        big.down_bits()
-    with pytest.raises(ResourceLimit):
-        big.up_bits()
+    # a single down row is refused too, where the row store would be made
+    for build in (lambda: big.down_row(5), big.down_bits, big.up_bits):
+        with pytest.raises(ResourceLimit):
+            build()
     # refused before the cover table or any mask was allocated
     assert big._covers is None
     assert big._down_bits is None and big._up_bits is None
+
+
+def test_the_ceiling_is_checked_where_a_store_is_made(monkeypatch):
+    # with the ceiling just under a small universe's estimate, each way to
+    # a down row or the up cache is refused before anything is allocated;
+    # an up pass reads only the cover table, which is not budgeted
+    small, want = Universe(6), Universe(6).up_bits()[3] << 3
+    monkeypatch.setattr(P, 'MAX_BIT_CACHE_BYTES',
+                        bit_cache_bytes(len(small)) - 1)
+    for build in (lambda: small.down_row(5), small.down_bits, small.up_bits):
+        with pytest.raises(ResourceLimit):
+            build()
+    assert small._covers is None
+    assert small._down_bits is None and small._up_bits is None
+    assert small.up_mask(3) == want
+
+
+def test_up_mask_makes_one_up_pass_per_ordinal(monkeypatch):
+    passes = collections.Counter()
+    strictly_above = Universe.strictly_above
+
+    def counted(self, mask, stop):
+        passes[mask] += 1
+        return strictly_above(self, mask, stop)
+    monkeypatch.setattr(Universe, 'strictly_above', counted)
+    first, second = Universe(8), Universe(8)
+    for universe in (first, second, first, second):
+        for o in (0, 3, 17, 3):
+            assert universe.up_mask(o) == universe.up_bits()[o] << o
+    # each universe keeps its own masks: one pass per ordinal in each
+    assert passes == {1 << o: 2 for o in (0, 3, 17)}
 
 
 def test_factorial_partition():

@@ -295,6 +295,7 @@ class Universe:
         self._down_bits = None      # down_row's store, None until first asked
         self._up_bits = None
         self._up_masks = {}         # up_mask's, by ordinal
+        self._up_memo = {}          # _contain's, by (a, b, n), a*b <= n
 
     def __len__(self):
         return len(self.elements)
@@ -339,29 +340,32 @@ class Universe:
           u = (s-1, k+1) + t2 if m = 1 and (s, m-1) + u if m > 1: t's
           ordinal plus a constant for each k.
         """
-        if self._covers is None:
-            rows, ordinals = [()], list(range(len(self.elements)))
-            off, start = self._offsets, _start
-            for n in range(1, self.max_card + 1):
-                for s, m, r in _blocks(n):
-                    if s == 1:
-                        rows.append((ordinals[off[n] - 1],))
-                        continue
-                    tail = (off[n - 1] + start(n - 1, s, m) - off[r - 1]
-                            - start(r - 1, s, 0)) if r else 0
-                    head = (off[n - 1] + start(n - 1, s, m - 1) - off[r]
-                            - start(r + s - 1, s, 0))
-                    for k in range(r // (s - 1), -1, -1):
-                        lo = off[r] + start(r, s - 1, k)
-                        hi = (off[r] + start(r, s - 1, k - 1) if k
-                              else off[r + 1])
-                        shift = (head + start(r + s - 1, s - 1, k + 1)
-                                 - start(r, s - 1, k))
-                        for g in range(lo, hi):
-                            rows.append((ordinals[g + shift], *[
-                                ordinals[x + tail] for x in rows[g]]))
-            self._covers = rows
-        return self._covers
+        return self._covers_through(len(self.elements) - 1)
+
+    def _covers_through(self, i):
+        """cover_table grown level by level through ordinal i's level: all
+        that down_row(i) reads."""
+        rows = self._covers = self._covers or [()]
+        off, start = self._offsets, _start
+        for n in range(self.elements[len(rows) - 1].card + 1,
+                       self.elements[i].card + 1):
+            ordinals = list(range(off[n - 1], off[n]))     # level n - 1's
+            for s, m, r in _blocks(n):
+                if s == 1:
+                    rows.append((ordinals[-1],))
+                    continue
+                tail = (start(n - 1, s, m) - off[r - 1]
+                        - start(r - 1, s, 0)) if r else 0
+                head = start(n - 1, s, m - 1) - off[r] - start(r + s - 1, s, 0)
+                for k in range(r // (s - 1), -1, -1):
+                    lo = off[r] + start(r, s - 1, k)
+                    hi = off[r] + start(r, s - 1, k - 1) if k else off[r + 1]
+                    shift = (head + start(r + s - 1, s - 1, k + 1)
+                             - start(r, s - 1, k))
+                    for g in range(lo, hi):
+                        rows.append((ordinals[g + shift], *[
+                            ordinals[x + tail] for x in rows[g]]))
+        return rows
 
     def down_row(self, i):
         """The bitmask of the ordinals j with elem_j <= elem_i, built on
@@ -374,7 +378,7 @@ class Universe:
             rows = self._down_bits = [None] * len(self.elements)
         if rows[i] is None:
             mask = 1 << i
-            for j in self.cover_table()[i]:
+            for j in self._covers_through(i)[i]:
                 mask |= self.down_row(j) if rows[j] is None else rows[j]
             rows[i] = mask
         return rows[i]
@@ -405,27 +409,75 @@ class Universe:
             self._up_bits = bits
         return self._up_bits
 
+    def _contain(self, a, b, n):
+        """The partitions of n whose b-th part is at least a, as bits of
+        level n, memoized.  Block (t, m) of level n, t >= a, is (t, m) +
+        rest: all of it when m >= b, and else, when t > a, the rests whose
+        (b - m)-th part is at least a: they have every part < t, level r =
+        n - t*m from _start(r, t, 0), so _contain(a, b - m, r) shifted."""
+        mask = self._up_memo.get((a, b, n))
+        if mask is None:
+            if b == 1:          # every block with t >= a: one range
+                mask = (1 << _start(n, a, 0)) - 1
+            else:               # t + a*(b - 1) <= n, or no b-th part >= a
+                starts, mask = _starts(n), 0
+                for t in range(n - a * (b - 1), a - 1, -1):
+                    row, top = starts[t], min(b - 1, n // t)  # m > top: all
+                    mask |= (1 << row[top]) - (1 << row[n // t])
+                    for m in range(top, 0, -1) if t > a else ():
+                        r = n - t * m
+                        if a * (b - m) <= r:
+                            mask |= (self._contain(a, b - m, r)
+                                     >> _start(r, t, 0)) << row[m]
+            self._up_memo[a, b, n] = mask
+        return mask
+
+    def _up_set(self, i, stop):
+        """The ordinals strictly above i, on the levels through that of
+        stop - 1, as a mask.  pi <= lam exactly when lam's b-th part is at
+        least a at each corner (a, b) of pi, so each level is the AND of
+        _contain at pi's corners."""
+        pi, off = self.elements[i], self._offsets
+        levels = range(pi.card + 1, self.elements[stop - 1].card + 1)
+        runs = pi.runs or ((1, 1),)     # the empty partition's: lam_1 >= 1
+        corners = list(zip([a for a, _ in runs],
+                           itertools.accumulate(k for _, k in runs)))
+        return sum(functools.reduce(int.__and__, [     # disjoint: sum is OR
+            self._contain(a, b, n) for a, b in corners]) << off[n]
+            for n in levels)
+
     def strictly_above(self, mask, stop):
         """The ordinals j < stop strictly above a member of mask, as a mask:
-        one pass up the cover table from past mask's lowest bit marks j when
-        a lower cover, which has a smaller ordinal, is in mask or marked."""
+        _up_set of mask's minimal members, lowest first, each clearing the
+        members above it.  Past len // 64 new memo states, the members left
+        take one pass up the cover table, which marks j when one of its
+        lower covers is such a member or marked."""
+        memo, cut = self._up_memo, (1 << stop) - 1
+        budget = len(memo) + len(self.elements) // 64
+        rest, up = mask & cut, 0
+        while rest and len(memo) <= budget:
+            bit = rest & -rest
+            up |= self._up_set(bit.bit_length() - 1, stop)
+            rest &= ~(up | bit)
+        if not rest:
+            return up & cut
         rows = self.cover_table()
-        seen = bytearray(format(mask, 'b').zfill(stop)[:-stop - 1:-1],
+        seen = bytearray(format(rest, 'b').zfill(stop)[:-stop - 1:-1],
                          'ascii').translate(bytes.maketrans(b'01', b'\0\1'))
         hit = bytearray(b'0') * stop
-        for j in range((mask & -mask).bit_length() or stop, stop):
+        for j in range((rest & -rest).bit_length(), stop):
             for c in rows[j]:
                 if seen[c]:
                     seen[j], hit[j] = 1, 49     # 49 is ord('1')
                     break
-        return int(hit[::-1] or b'0', 2)
+        return (up | int(hit[::-1], 2)) & cut
 
     def up_mask(self, i):
         """up_bits()[i] << i, the mask of the ordinals j with elem_i <=
-        elem_j: one up pass (strictly_above), kept; reads neither cache."""
+        elem_j: _up_set, kept; reads no bit cache and no cover table."""
         masks = self._up_masks
         if i not in masks:
-            masks[i] = self.strictly_above(1 << i, len(self.elements)) | 1 << i
+            masks[i] = self._up_set(i, len(self.elements)) | 1 << i
         return masks[i]
 
 

@@ -911,6 +911,26 @@ def test_formulas_reading_no_row_evaluate_past_the_bit_cache_ceiling():
         with pytest.raises(ResourceLimit):
             F.defined_set(F.parse(corpus[name]), 'x', universe, config)
     assert universe._down_bits is None and universe._up_bits is None
+    # the up-sets are read off the level layout: no cover table is built
+    assert universe._covers is None
+
+
+def test_constant_up_sets_past_the_ceiling_build_no_cover_table():
+    # a formula's constant up-sets come first and read no cover table, so
+    # one that reads a row is refused with nothing built, and one that
+    # reads none answers without the table
+    universe = enumerate_universe(40)
+    config = F.EvalConfig(39, 1)
+    corpus = F.corpus()
+    for name in ('triviality', 'maximal-below'):
+        with pytest.raises(ResourceLimit):
+            F.defined_set(F.parse(corpus[name]), 'x', universe, config)
+        assert universe._covers is None
+    total = F.defined_set(F.parse(corpus['totality']), 'x', universe, config)
+    assert total == {pi for pi in universe if pi.card <= 39 and is_total(pi)}
+    assert len(total) == 40
+    assert universe._covers is None
+    assert universe._down_bits is None and universe._up_bits is None
 
 
 def test_an_outside_value_on_the_right_is_asked_below_it():
@@ -923,18 +943,19 @@ def test_an_outside_value_on_the_right_is_asked_below_it():
 
 
 def test_stability_check_makes_one_up_pass_for_its_constant(monkeypatch):
+    # an up pass is one up-set read off the level layout (_up_set)
     passes = []
-    strictly_above = Universe.strictly_above
+    up_set = Universe._up_set
 
-    def counted(self, mask, stop):
-        passes.append(mask)
-        return strictly_above(self, mask, stop)
-    monkeypatch.setattr(Universe, 'strictly_above', counted)
+    def counted(self, i, stop):
+        passes.append(i)
+        return up_set(self, i, stop)
+    monkeypatch.setattr(Universe, '_up_set', counted)
     universe = Universe(12)
     f = F.parse(F.corpus()['totality'])
     sets, flips = F.stability_check(f, ('x',), universe, 8, [0, 1, 2, 3])
     # one pass for c11 over the four compiles, kept by the universe
-    assert passes == [1 << universe.ordinal(p('2[1]'))]
+    assert passes == [universe.ordinal(p('2[1]'))]
     assert sets == [{pi for pi in universe if pi.card <= 8 and is_total(pi)}
                     ] * 4
     assert flips == []

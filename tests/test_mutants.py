@@ -32,8 +32,8 @@ REPORT_MUTANTS = {
         'partitions.py', 'ordinals[x + tail] for x',
         'ordinals[x + tail + 1] for x',
         ['reconstruction-from-lower-covers', 'automorphism-uniqueness',
-         'corpus-cover', 'corpus-rectangular', 'corpus-triviality',
-         'embed-antichain-5', 'embed-2-crown']),
+         'corpus-cover', 'corpus-rectangular', 'embed-antichain-5',
+         'embed-2-crown']),
     'up-bits-skip-ordinal-zero': (
         'partitions.py', 'bits[j] |= mask << i - j\n',
         'bits[j] |= mask << i - j if j else 0\n',
@@ -43,6 +43,12 @@ REPORT_MUTANTS = {
         'partitions.py', 'len(self.elements)) | 1 << i\n',
         'len(self.elements))\n',
         ['corpus-totality']),
+    'up-set-rest-one-block-back': (
+        'partitions.py', '0)) << row[m]\n', '0)) << row[m - 1]\n',
+        ['corpus-cover', 'corpus-maximal-below', 'corpus-totality']),
+    'up-set-first-part-strictly-above': (
+        'partitions.py', ', a - 1, -1)', ', a, -1)',
+        ['corpus-cover', 'corpus-totality', 'corpus-triviality']),
     'one-bit-leq-swapped': (
         'formulas.py', 'care if leq(values[i], values[o])',
         'care if leq(values[o], values[i])',

@@ -500,6 +500,60 @@ def test_strictly_above_edge_cases():
             UNI12, mask, n)
 
 
+def test_up_mask_is_the_up_cache_row_at_every_ordinal():
+    universe = Universe(14)
+    up = universe.up_bits()
+    for o in range(len(universe)):
+        assert universe.up_mask(o) == up[o] << o, o
+    # the memo holds one state per (a, b, n) with a*b <= n, a corner of an
+    # element below level n or a recursion's rest: 269 at most here, so
+    # it stays under the element count without being dropped
+    memo = universe._up_memo
+    assert all(a * b <= n <= 14 for a, b, n in memo)
+    assert len(memo) <= 269 < len(universe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, len(UNI12) - 1), min_size=2, max_size=4),
+       st.integers(0, len(UNI12)))
+def test_strictly_above_reads_the_layout_and_agrees_with_leq(members, stop):
+    universe = Universe(12)
+    for i in members:           # a principal mask: one up-set
+        assert (universe.strictly_above(1 << i, stop)
+                == _strictly_above_by_leq(universe, 1 << i, stop))
+    # a few members, whose up-sets the principal asks left in the memo
+    mask = sum(1 << i for i in members)
+    assert (universe.strictly_above(mask, stop)
+            == _strictly_above_by_leq(universe, mask, stop))
+    # no call walked the cover table, the only way it is built here
+    assert universe._covers is None
+
+
+def test_a_whole_level_as_an_antichain_finishes_with_the_walk():
+    for level in (4, 6, 9):
+        universe = Universe(12)
+        lo, hi = (universe.ordinal_cutoff(level - 1),
+                  universe.ordinal_cutoff(level))
+        mask = (1 << hi) - (1 << lo)
+        assert (universe.strictly_above(mask, len(universe))
+                == _strictly_above_by_leq(universe, mask, len(universe)))
+        # its minimal members' up-sets add more than len // 64 memo states,
+        # so the members left take the walk, which reads the whole table
+        assert len(universe._covers) == len(universe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, len(UNI12) - 1), max_size=20))
+def test_a_cover_table_grown_by_down_rows_is_the_lookup_table(asked):
+    universe, deepest = Universe(12), -1
+    for i in asked:
+        universe.down_row(i)
+        deepest = max(deepest, universe.elements[i].card)
+        # grown only through the deepest level asked
+        assert len(universe._covers) == universe.ordinal_cutoff(deepest)
+    assert universe.cover_table() == _cover_table_by_lookup(universe)
+
+
 def test_cover_table_rows_share_their_ordinals():
     # one tuple of pointers per element; ints made per entry, not shared,
     # would take about 1.7 MB at 25
@@ -573,19 +627,20 @@ def test_the_ceiling_is_checked_where_a_store_is_made(monkeypatch):
 
 
 def test_up_mask_makes_one_up_pass_per_ordinal(monkeypatch):
+    # an up pass is one up-set read off the level layout (_up_set)
     passes = collections.Counter()
-    strictly_above = Universe.strictly_above
+    up_set = Universe._up_set
 
-    def counted(self, mask, stop):
-        passes[mask] += 1
-        return strictly_above(self, mask, stop)
-    monkeypatch.setattr(Universe, 'strictly_above', counted)
+    def counted(self, i, stop):
+        passes[i] += 1
+        return up_set(self, i, stop)
+    monkeypatch.setattr(Universe, '_up_set', counted)
     first, second = Universe(8), Universe(8)
     for universe in (first, second, first, second):
         for o in (0, 3, 17, 3):
             assert universe.up_mask(o) == universe.up_bits()[o] << o
     # each universe keeps its own masks: one pass per ordinal in each
-    assert passes == {1 << o: 2 for o in (0, 3, 17)}
+    assert passes == {o: 2 for o in (0, 3, 17)}
 
 
 def test_factorial_partition():

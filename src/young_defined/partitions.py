@@ -27,9 +27,9 @@ MAX_ENUMERATION_CARD = 50
 # Practical ceiling for the two bit caches of one universe together
 # (Universe.down_bits and up_bits), checked where the down-row store or the
 # up cache is made.  With n elements, down mask i spans i + 1 bits and up
-# mask i, stored from its own ordinal, at most n - i, so the masks take
-# under n**2 / 8 bytes; each element adds two list slots and two int
-# headers.  Counted from the mask widths: ~156 MB at maxCard 31, ~1.21 GB
+# mask i, from its own ordinal, at most n - i: under n**2 / 8 bytes.  Each
+# element adds two int headers and two slots of lists made at full length
+# (never grown, which over-allocates).  So ~156 MB at maxCard 31, ~1.21 GB
 # at 36, ~1.80 GB at 37 and ~2.66 GB at 38: the ceiling admits 37, not 38.
 MAX_BIT_CACHE_BYTES = 2 * 2 ** 30
 
@@ -390,22 +390,15 @@ class Universe:
 
     def up_bits(self):
         """For each ordinal i, a bitmask of the ordinals j >= i with
-        elem_i <= elem_j, stored from its own ordinal: bit j - i.
-
-        Every element above elem_i comes after it, so no bit below i is
-        ever set and up_bits()[i] << i is the mask over all ordinals.
-        Built by one pass down the levels: when pi is reached, all its
-        upper covers have ORed their up-sets into its mask, which it then
-        ORs into the mask of each lower cover j, shifted by i - j.
-        """
+        elem_i <= elem_j, stored from its own ordinal: bit j - i, so that
+        up_bits()[i] << i is the mask over all ordinals.  Row i is
+        _up_set(i) shifted down i bits plus bit 0, as every element above
+        elem_i comes after it."""
         if self._up_bits is None:
             self._check_bit_cache()
-            rows = self.cover_table()
             bits = [0] * len(self.elements)
-            for i in range(len(bits) - 1, -1, -1):
-                mask = bits[i] = bits[i] | 1
-                for j in rows[i]:
-                    bits[j] |= mask << i - j
+            for i in range(len(bits)):
+                bits[i] = self._up_set(i, len(bits)) >> i | 1
             self._up_bits = bits
         return self._up_bits
 
@@ -449,32 +442,18 @@ class Universe:
     def strictly_above(self, mask, stop):
         """The ordinals j < stop strictly above a member of mask, as a mask:
         _up_set of mask's minimal members, lowest first, each clearing the
-        members above it.  Past len // 64 new memo states, the members left
-        take one pass up the cover table, which marks j when one of its
-        lower covers is such a member or marked."""
-        memo, cut = self._up_memo, (1 << stop) - 1
-        budget = len(memo) + len(self.elements) // 64
+        members above it."""
+        cut = (1 << stop) - 1
         rest, up = mask & cut, 0
-        while rest and len(memo) <= budget:
+        while rest:
             bit = rest & -rest
             up |= self._up_set(bit.bit_length() - 1, stop)
             rest &= ~(up | bit)
-        if not rest:
-            return up & cut
-        rows = self.cover_table()
-        seen = bytearray(format(rest, 'b').zfill(stop)[:-stop - 1:-1],
-                         'ascii').translate(bytes.maketrans(b'01', b'\0\1'))
-        hit = bytearray(b'0') * stop
-        for j in range((rest & -rest).bit_length(), stop):
-            for c in rows[j]:
-                if seen[c]:
-                    seen[j], hit[j] = 1, 49     # 49 is ord('1')
-                    break
-        return (up | int(hit[::-1], 2)) & cut
+        return up & cut
 
     def up_mask(self, i):
-        """up_bits()[i] << i, the mask of the ordinals j with elem_i <=
-        elem_j: _up_set, kept; reads no bit cache and no cover table."""
+        """up_bits()[i] << i without the up cache: the mask of the ordinals
+        j with elem_i <= elem_j, _up_set plus bit i, kept per ordinal."""
         masks = self._up_masks
         if i not in masks:
             masks[i] = self._up_set(i, len(self.elements)) | 1 << i

@@ -897,7 +897,7 @@ def test_a_formula_reading_rows_is_refused_past_the_bit_cache_ceiling():
 
 def test_formulas_reading_no_row_evaluate_past_the_bit_cache_ceiling():
     # 38 is the first maxCard whose bit caches the ceiling refuses; an up
-    # pass over the cover table is not budgeted, a down row is
+    # pass over the level layout is not budgeted, a down row is
     universe = enumerate_universe(38)
     config = F.EvalConfig(37, 1)
     corpus = F.corpus()
@@ -969,7 +969,9 @@ def test_constant_up_mask_builds_no_bit_cache():
         masks = [universe.up_mask(o) for o in range(len(universe))]
         assert (universe._down_bits is None) == (first != 'down_bits')
         assert (universe._up_bits is None) == (first != 'up_bits')
-        assert masks == [m << o for o, m in enumerate(universe.up_bits())]
+        # a leq sweep: the up cache is read off the same layout
+        assert masks == [sum(1 << j for j, pi in enumerate(universe)
+                             if leq(sigma, pi)) for sigma in universe]
 
 
 def test_evaluate_error_paths():

@@ -32,23 +32,30 @@ REPORT_MUTANTS = {
         'partitions.py', 'ordinals[x + tail] for x',
         'ordinals[x + tail + 1] for x',
         ['reconstruction-from-lower-covers', 'automorphism-uniqueness',
-         'corpus-cover', 'corpus-rectangular', 'embed-antichain-5',
-         'embed-2-crown']),
+         'embed-antichain-5']),
     'up-bits-skip-ordinal-zero': (
-        'partitions.py', 'bits[j] |= mask << i - j\n',
-        'bits[j] |= mask << i - j if j else 0\n',
+        'partitions.py', '= self._up_set(i, len(bits)) >> i',
+        '= (self._up_set(i, len(bits)) if i else 0) >> i',
         ['corpus-cover', 'corpus-rectangular', 'embed-chain-5',
          'embed-antichain-5']),
+    'up-bits-row-without-its-own-bit': (
+        'partitions.py', ' >> i | 1\n', ' >> i\n',
+        ['embed-chain-5']),
     'up-mask-without-its-own-bit': (
         'partitions.py', 'len(self.elements)) | 1 << i\n',
         'len(self.elements))\n',
         ['corpus-totality']),
     'up-set-rest-one-block-back': (
         'partitions.py', '0)) << row[m]\n', '0)) << row[m - 1]\n',
-        ['corpus-cover', 'corpus-maximal-below', 'corpus-totality']),
+        ['corpus-cover', 'corpus-maximal-below', 'corpus-rectangular',
+         'corpus-totality', 'embed-antichain-5', 'embed-2-crown']),
     'up-set-first-part-strictly-above': (
         'partitions.py', ', a - 1, -1)', ', a, -1)',
-        ['corpus-cover', 'corpus-totality', 'corpus-triviality']),
+        ['corpus-cover', 'corpus-rectangular', 'corpus-totality',
+         'corpus-triviality', 'embed-antichain-5']),
+    'strictly-above-stops-after-one-member': (
+        'partitions.py', 'while rest:\n', 'if rest:\n',
+        ['corpus-cover']),
     'one-bit-leq-swapped': (
         'formulas.py', 'care if leq(values[i], values[o])',
         'care if leq(values[o], values[i])',

@@ -501,10 +501,12 @@ def test_strictly_above_edge_cases():
 
 
 def test_up_mask_is_the_up_cache_row_at_every_ordinal():
+    # both are read off the level layout, so the reference is a leq sweep
     universe = Universe(14)
     up = universe.up_bits()
     for o in range(len(universe)):
-        assert universe.up_mask(o) == up[o] << o, o
+        want = _strictly_above_by_leq(universe, 1 << o, len(universe)) | 1 << o
+        assert universe.up_mask(o) == want == up[o] << o, o
     # the memo holds one state per (a, b, n) with a*b <= n, a corner of an
     # element below level n or a recursion's rest: 269 at most here, so
     # it stays under the element count without being dropped
@@ -529,7 +531,7 @@ def test_strictly_above_reads_the_layout_and_agrees_with_leq(members, stop):
     assert universe._covers is None
 
 
-def test_a_whole_level_as_an_antichain_finishes_with_the_walk():
+def test_a_whole_level_as_an_antichain_walks_no_cover_table():
     for level in (4, 6, 9):
         universe = Universe(12)
         lo, hi = (universe.ordinal_cutoff(level - 1),
@@ -537,9 +539,22 @@ def test_a_whole_level_as_an_antichain_finishes_with_the_walk():
         mask = (1 << hi) - (1 << lo)
         assert (universe.strictly_above(mask, len(universe))
                 == _strictly_above_by_leq(universe, mask, len(universe)))
-        # its minimal members' up-sets add more than len // 64 memo states,
-        # so the members left take the walk, which reads the whole table
-        assert len(universe._covers) == len(universe)
+        # however many minimal members, each up-set is read off the layout
+        assert universe._covers is None
+
+
+def test_the_up_cache_and_the_cover_table_agree_on_each_cover():
+    # the one check that ties the layout to the block arithmetic: the
+    # bits of row i on the level above are the j whose cover row holds i
+    universe = Universe(14)
+    up, rows = universe.up_bits(), universe.cover_table()
+    for i, pi in enumerate(universe):
+        # the level above pi's, empty for the top level
+        lo, hi = (universe.ordinal_cutoff(pi.card),
+                  universe.ordinal_cutoff(pi.card + 1))
+        covers = up[i] << i >> lo & (1 << hi - lo) - 1
+        assert covers == sum(1 << j - lo for j in range(lo, hi)
+                             if i in rows[j]), i
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,7 +629,7 @@ def test_bit_cache_ceiling():
 def test_the_ceiling_is_checked_where_a_store_is_made(monkeypatch):
     # with the ceiling just under a small universe's estimate, each way to
     # a down row or the up cache is refused before anything is allocated;
-    # an up pass reads only the cover table, which is not budgeted
+    # an up pass reads only the level layout, which is not budgeted
     small, want = Universe(6), Universe(6).up_bits()[3] << 3
     monkeypatch.setattr(P, 'MAX_BIT_CACHE_BYTES',
                         bit_cache_bytes(len(small)) - 1)
@@ -634,11 +649,14 @@ def test_up_mask_makes_one_up_pass_per_ordinal(monkeypatch):
     def counted(self, i, stop):
         passes[i] += 1
         return up_set(self, i, stop)
-    monkeypatch.setattr(Universe, '_up_set', counted)
     first, second = Universe(8), Universe(8)
+    # a reference by leq, as the up cache is read off _up_set too
+    want = {o: _strictly_above_by_leq(first, 1 << o, len(first)) | 1 << o
+            for o in (0, 3, 17)}
+    monkeypatch.setattr(Universe, '_up_set', counted)
     for universe in (first, second, first, second):
         for o in (0, 3, 17, 3):
-            assert universe.up_mask(o) == universe.up_bits()[o] << o
+            assert universe.up_mask(o) == want[o]
     # each universe keeps its own masks: one pass per ordinal in each
     assert passes == {o: 2 for o in (0, 3, 17)}
 

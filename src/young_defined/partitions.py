@@ -294,7 +294,7 @@ class Universe:
         self._covers = None
         self._down_bits = None      # down_row's store, None until first asked
         self._up_bits = None
-        self._up_masks = {}         # up_mask's, by ordinal
+        self._cells = {}            # _cell's, by (a, b)
         self._up_memo = {}          # _contain's, by (a, b, n), a*b <= n
 
     def __len__(self):
@@ -329,7 +329,8 @@ class Universe:
     def cover_table(self):
         """Row i: the ordinals of element i's lower covers as one tuple, in
         the order of _lower_cover_runs, each entry the one shared int of
-        its ordinal, so that a row costs only its pointers.
+        its ordinal, so that a row costs only its pointers.  Built whole on
+        first request; only the harness's cover suites read it.
 
         Built by arithmetic on enumerate_level's blocks, from the rows of
         the levels below.  For e = (s, m) + t, t in level r = n - s*m:
@@ -340,15 +341,10 @@ class Universe:
           u = (s-1, k+1) + t2 if m = 1 and (s, m-1) + u if m > 1: t's
           ordinal plus a constant for each k.
         """
-        return self._covers_through(len(self.elements) - 1)
-
-    def _covers_through(self, i):
-        """cover_table grown level by level through ordinal i's level: all
-        that down_row(i) reads."""
-        rows = self._covers = self._covers or [()]
-        off, start = self._offsets, _start
-        for n in range(self.elements[len(rows) - 1].card + 1,
-                       self.elements[i].card + 1):
+        if self._covers is not None:
+            return self._covers
+        rows, off, start = [()], self._offsets, _start
+        for n in range(1, self.max_card + 1):
             ordinals = list(range(off[n - 1], off[n]))     # level n - 1's
             for s, m, r in _blocks(n):
                 if s == 1:
@@ -365,40 +361,43 @@ class Universe:
                     for g in range(lo, hi):
                         rows.append((ordinals[g + shift], *[
                             ordinals[x + tail] for x in rows[g]]))
+        self._covers = rows
         return rows
 
     def down_row(self, i):
         """The bitmask of the ordinals j with elem_j <= elem_i, built on
-        first request and kept in a store made after the ceiling check:
-        elem_i's own bit ORed with the rows of its lower covers, each
-        missing one built first (recursion <= card deep)."""
+        first request and kept in a store made after the ceiling check.
+        mu <= lam exactly when mu holds no addable cell of lam, (a + 1,
+        b + 1) for each run of part a that starts below b rows, the trailing
+        run (0, 1) adding a row: lam's levels less the _cell of each."""
         rows = self._down_bits
         if rows is None:
             self._check_bit_cache()
             rows = self._down_bits = [None] * len(self.elements)
         if rows[i] is None:
-            mask = 1 << i
-            for j in self._covers_through(i)[i]:
-                mask |= self.down_row(j) if rows[j] is None else rows[j]
-            rows[i] = mask
+            runs = self.elements[i].runs
+            low, out = (1 << self._offsets[self.elements[i].card + 1]) - 1, 0
+            for (a, _), b in zip(runs + ((0, 1),), itertools.accumulate(
+                    (k for _, k in runs), initial=0)):
+                out |= self._cell(a + 1, b + 1) & low
+            rows[i] = low ^ out
         return rows[i]
 
     def down_bits(self):
-        """Each down_row(i) at i, asked in order so that none recurses; the
-        first makes the ceiling check before anything is allocated."""
+        """Each down_row(i) at i; the first makes the ceiling check before
+        anything is allocated."""
         return [self.down_row(i) for i in range(len(self.elements))]
 
     def up_bits(self):
         """For each ordinal i, a bitmask of the ordinals j >= i with
         elem_i <= elem_j, stored from its own ordinal: bit j - i, so that
-        up_bits()[i] << i is the mask over all ordinals.  Row i is
-        _up_set(i) shifted down i bits plus bit 0, as every element above
-        elem_i comes after it."""
+        up_bits()[i] << i is up_mask(i), the mask over all ordinals, as
+        every element above elem_i comes after it."""
         if self._up_bits is None:
             self._check_bit_cache()
             bits = [0] * len(self.elements)
             for i in range(len(bits)):
-                bits[i] = self._up_set(i, len(bits)) >> i | 1
+                bits[i] = self.up_mask(i) >> i
             self._up_bits = bits
         return self._up_bits
 
@@ -425,39 +424,39 @@ class Universe:
             self._up_memo[a, b, n] = mask
         return mask
 
-    def _up_set(self, i, stop):
-        """The ordinals strictly above i, on the levels through that of
-        stop - 1, as a mask.  pi <= lam exactly when lam's b-th part is at
-        least a at each corner (a, b) of pi, so each level is the AND of
-        _contain at pi's corners."""
-        pi, off = self.elements[i], self._offsets
-        levels = range(pi.card + 1, self.elements[stop - 1].card + 1)
-        runs = pi.runs or ((1, 1),)     # the empty partition's: lam_1 >= 1
-        corners = list(zip([a for a, _ in runs],
-                           itertools.accumulate(k for _, k in runs)))
-        return sum(functools.reduce(int.__and__, [     # disjoint: sum is OR
-            self._contain(a, b, n) for a, b in corners]) << off[n]
-            for n in levels)
+    def _cell(self, a, b):
+        """The ordinals whose b-th part is at least a, the elements that
+        hold cell (a, b), as one mask over the whole universe: _contain
+        on each level from a*b up, memoized per (a, b)."""
+        mask = self._cells.get((a, b))
+        if mask is None:
+            mask = self._cells[a, b] = sum(        # disjoint: sum is OR
+                self._contain(a, b, n) << self._offsets[n]
+                for n in range(a * b, self.max_card + 1))
+        return mask
 
     def strictly_above(self, mask, stop):
         """The ordinals j < stop strictly above a member of mask, as a mask:
-        _up_set of mask's minimal members, lowest first, each clearing the
-        members above it."""
+        the up_mask of mask's minimal members less the member, lowest
+        first, each clearing the members above it."""
         cut = (1 << stop) - 1
         rest, up = mask & cut, 0
         while rest:
             bit = rest & -rest
-            up |= self._up_set(bit.bit_length() - 1, stop)
+            up |= self.up_mask(bit.bit_length() - 1) ^ bit
             rest &= ~(up | bit)
         return up & cut
 
     def up_mask(self, i):
         """up_bits()[i] << i without the up cache: the mask of the ordinals
-        j with elem_i <= elem_j, _up_set plus bit i, kept per ordinal."""
-        masks = self._up_masks
-        if i not in masks:
-            masks[i] = self._up_set(i, len(self.elements)) | 1 << i
-        return masks[i]
+        j with elem_i <= elem_j.  pi <= lam exactly when lam holds each
+        corner (a, b) of pi, the last row b of each run of part a, so the
+        mask is the AND of the _cell of pi's corners."""
+        runs, mask = self.elements[i].runs, (1 << len(self.elements)) - 1
+        for a, b in zip([a for a, _ in runs],
+                        itertools.accumulate(k for _, k in runs)):
+            mask &= self._cell(a, b)
+        return mask
 
 
 def enumerate_universe(max_card):

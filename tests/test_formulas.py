@@ -787,7 +787,7 @@ def test_down_sweep_edge_cases_agree_with_naive(text, swept):
 
 def test_down_sweep_runs_no_closure_per_candidate(monkeypatch):
     # z = c leaves x out, so the upper-cover sweep asks it once per fill;
-    # one up pass over the cover table then answers every x, and no
+    # one strictly_above pass then answers every x, and no
     # closure runs for any of them
     c = p('[2]+[1]')
     watched = F.Eq(F.Var('z'), F.Const('c', c))
@@ -943,19 +943,21 @@ def test_an_outside_value_on_the_right_is_asked_below_it():
 
 
 def test_stability_check_makes_one_up_pass_for_its_constant(monkeypatch):
-    # an up pass is one up-set read off the level layout (_up_set)
-    passes = []
-    up_set = Universe._up_set
+    # an up pass is the build of one cell, the mask read off the level
+    # layout of the elements holding it (_cell); c11 = 2[1] has one corner
+    built = []
+    cell = Universe._cell
 
-    def counted(self, i, stop):
-        passes.append(i)
-        return up_set(self, i, stop)
-    monkeypatch.setattr(Universe, '_up_set', counted)
+    def counted(self, a, b):
+        if (a, b) not in self._cells:
+            built.append((a, b))
+        return cell(self, a, b)
+    monkeypatch.setattr(Universe, '_cell', counted)
     universe = Universe(12)
     f = F.parse(F.corpus()['totality'])
     sets, flips = F.stability_check(f, ('x',), universe, 8, [0, 1, 2, 3])
-    # one pass for c11 over the four compiles, kept by the universe
-    assert passes == [universe.ordinal(p('2[1]'))]
+    # one cell for c11 over the four compiles, kept by the universe
+    assert built == [(1, 2)]
     assert sets == [{pi for pi in universe if pi.card <= 8 and is_total(pi)}
                     ] * 4
     assert flips == []

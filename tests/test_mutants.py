@@ -24,27 +24,40 @@ QUICK = json.loads((ROOT / 'tests' / 'data' / 'check_all_quick.json')
 # id: (file under src/young_defined, old text, new text, suites that fail)
 REPORT_MUTANTS = {
     'down-row-starts-at-zero': (
-        'partitions.py', 'mask = 1 << i\n', 'mask = 0\n',
+        'partitions.py', 'low, out = (1 << self._offsets',
+        'low, out = 0 & (1 << self._offsets',
         ['corpus-empty', 'corpus-maximal-below', 'corpus-rectangular',
          'corpus-triviality', 'embed-antichain-5', 'embed-2-crown',
          'embed-antichain-8-too-low']),
+    'down-row-without-its-own-bit': (
+        'partitions.py', 'rows[i] = low ^ out\n',
+        'rows[i] = low ^ out ^ 1 << i\n',
+        ['corpus-empty']),
+    'down-row-cells-not-cut-to-its-levels': (
+        'partitions.py', 'self._cell(a + 1, b + 1) & low\n',
+        'self._cell(a + 1, b + 1)\n',
+        ['corpus-empty', 'corpus-rectangular']),
+    'down-row-new-row-cell-one-column-out': (
+        'partitions.py', 'runs + ((0, 1),)', 'runs + ((1, 1),)',
+        ['corpus-rectangular']),
     'cover-table-tail-off-by-one': (
         'partitions.py', 'ordinals[x + tail] for x',
         'ordinals[x + tail + 1] for x',
-        ['reconstruction-from-lower-covers', 'automorphism-uniqueness',
-         'embed-antichain-5']),
+        ['reconstruction-from-lower-covers', 'automorphism-uniqueness']),
     'up-bits-skip-ordinal-zero': (
-        'partitions.py', '= self._up_set(i, len(bits)) >> i',
-        '= (self._up_set(i, len(bits)) if i else 0) >> i',
+        'partitions.py', '= self.up_mask(i) >> i\n',
+        '= (self.up_mask(i) if i else 1) >> i\n',
         ['corpus-cover', 'corpus-rectangular', 'embed-chain-5',
          'embed-antichain-5']),
     'up-bits-row-without-its-own-bit': (
-        'partitions.py', ' >> i | 1\n', ' >> i\n',
+        'partitions.py', '= self.up_mask(i) >> i\n',
+        '= self.up_mask(i) >> i & ~1\n',
         ['embed-chain-5']),
     'up-mask-without-its-own-bit': (
-        'partitions.py', 'len(self.elements)) | 1 << i\n',
-        'len(self.elements))\n',
-        ['corpus-totality']),
+        'partitions.py', 'mask &= self._cell(a, b)\n        return mask\n',
+        'mask &= self._cell(a, b)\n        return mask ^ 1 << i\n',
+        ['corpus-cover', 'corpus-maximal-below', 'corpus-totality',
+         'embed-chain-5']),
     'up-set-rest-one-block-back': (
         'partitions.py', '0)) << row[m]\n', '0)) << row[m - 1]\n',
         ['corpus-cover', 'corpus-maximal-below', 'corpus-rectangular',
@@ -52,7 +65,7 @@ REPORT_MUTANTS = {
     'up-set-first-part-strictly-above': (
         'partitions.py', ', a - 1, -1)', ', a, -1)',
         ['corpus-cover', 'corpus-rectangular', 'corpus-totality',
-         'corpus-triviality', 'embed-antichain-5']),
+         'corpus-triviality', 'embed-antichain-5', 'embed-2-crown']),
     'strictly-above-stops-after-one-member': (
         'partitions.py', 'while rest:\n', 'if rest:\n',
         ['corpus-cover']),
@@ -80,6 +93,13 @@ UNIT_MUTANTS = {
         'if leq(values[o], values[i]))',
         'tests/test_formulas.py::'
         'test_an_outside_value_on_the_right_is_asked_below_it'),
+    'transposed-despite-a-nested-quantifier': (
+        'formulas.py',
+        'direct)\n            and not any(isinstance(g, (Exists, Forall))'
+        ' and q in g.free\n                        for g in direct))',
+        'direct))',
+        'tests/test_formulas.py::'
+        'test_each_quantifier_is_compiled_for_one_orientation'),
 }
 
 

@@ -442,7 +442,7 @@ UNI12 = Universe(12)
 
 @pytest.mark.parametrize('max_card', [12, 16])
 def test_down_rows_asked_top_first_equal_the_full_cache(max_card):
-    # the first ask recurses down a chain of max_card lower covers
+    # the first ask builds the cells of the top element's addable cells
     lazy = Universe(max_card)
     rows = [lazy.down_row(i) for i in reversed(range(len(lazy)))]
     assert rows[::-1] == Universe(max_card).down_bits()
@@ -450,17 +450,28 @@ def test_down_rows_asked_top_first_equal_the_full_cache(max_card):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, len(UNI12) - 1), max_size=30))
-def test_down_rows_in_any_order_build_only_the_down_set_asked(asked):
+def test_down_rows_in_any_order_build_only_the_rows_asked(asked):
     full = Universe(12).down_bits()
     lazy = Universe(12)
-    reached = 0
     for i in asked:
         assert lazy.down_row(i) == full[i]
-        reached |= full[i]
-    # a row is built exactly when it lies below a row asked for
+    # a row is read off the cells, not off the rows below it, so a row is
+    # built exactly when it is asked for, and no cover table is built
     built = lazy._down_bits or []
-    assert sum(1 << j for j, row in enumerate(built)
-               if row is not None) == reached
+    assert {j for j, row in enumerate(built) if row is not None} == set(asked)
+    assert lazy._covers is None
+
+
+def test_down_rows_are_the_cover_table_recursion():
+    # neither is built from the other: each row is its own bit ORed with
+    # the rows of its lower covers, read from the harness's cover table
+    universe = Universe(14)
+    rows = universe.cover_table()
+    for i in range(len(universe)):
+        want = 1 << i
+        for j in rows[i]:
+            want |= universe.down_row(j)
+        assert universe.down_row(i) == want, i
 
 
 def _strictly_above_by_leq(universe, mask, stop):
@@ -513,6 +524,10 @@ def test_up_mask_is_the_up_cache_row_at_every_ordinal():
     memo = universe._up_memo
     assert all(a * b <= n <= 14 for a, b, n in memo)
     assert len(memo) <= 269 < len(universe)
+    # one cell per corner (a, b), a*b <= 14, each of rectangle b[a] among
+    # others: 41 full-width masks
+    assert set(universe._cells) == {(a, b) for a in range(1, 15)
+                                    for b in range(1, 14 // a + 1)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -555,18 +570,6 @@ def test_the_up_cache_and_the_cover_table_agree_on_each_cover():
         covers = up[i] << i >> lo & (1 << hi - lo) - 1
         assert covers == sum(1 << j - lo for j in range(lo, hi)
                              if i in rows[j]), i
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, len(UNI12) - 1), max_size=20))
-def test_a_cover_table_grown_by_down_rows_is_the_lookup_table(asked):
-    universe, deepest = Universe(12), -1
-    for i in asked:
-        universe.down_row(i)
-        deepest = max(deepest, universe.elements[i].card)
-        # grown only through the deepest level asked
-        assert len(universe._covers) == universe.ordinal_cutoff(deepest)
-    assert universe.cover_table() == _cover_table_by_lookup(universe)
 
 
 def test_cover_table_rows_share_their_ordinals():
@@ -641,24 +644,29 @@ def test_the_ceiling_is_checked_where_a_store_is_made(monkeypatch):
     assert small.up_mask(3) == want
 
 
-def test_up_mask_makes_one_up_pass_per_ordinal(monkeypatch):
-    # an up pass is one up-set read off the level layout (_up_set)
-    passes = collections.Counter()
-    up_set = Universe._up_set
+def test_up_mask_builds_each_cell_once_per_universe(monkeypatch):
+    # an up mask is the AND of the cells at its corners, each cell one
+    # mask over the whole universe read off the level layout (_cell)
+    built = collections.Counter()
+    cell = Universe._cell
 
-    def counted(self, i, stop):
-        passes[i] += 1
-        return up_set(self, i, stop)
+    def counted(self, a, b):
+        if (a, b) not in self._cells:
+            built[a, b] += 1
+        return cell(self, a, b)
     first, second = Universe(8), Universe(8)
-    # a reference by leq, as the up cache is read off _up_set too
+    # a reference by leq, as the up cache is read off the cells too
     want = {o: _strictly_above_by_leq(first, 1 << o, len(first)) | 1 << o
             for o in (0, 3, 17)}
-    monkeypatch.setattr(Universe, '_up_set', counted)
+    monkeypatch.setattr(Universe, '_cell', counted)
     for universe in (first, second, first, second):
         for o in (0, 3, 17, 3):
             assert universe.up_mask(o) == want[o]
-    # each universe keeps its own masks: one pass per ordinal in each
-    assert passes == {o: 2 for o in (0, 3, 17)}
+    # EMPTY has no corner, 2[1] (ordinal 3) has (1, 2), and [2]+3[1]
+    # (ordinal 17) has (2, 1) and (1, 4): each universe builds each once
+    assert [first.elements[o] for o in (3, 17)] == [
+        parse_partition('2[1]'), parse_partition('[2]+3[1]')]
+    assert built == {cell: 2 for cell in ((1, 2), (2, 1), (1, 4))}
 
 
 def test_factorial_partition():

@@ -13,16 +13,21 @@ whatever the caller assigns; definedSet sweeps them up to maxCard only.
 The evaluator is relational: a subformula is a bitmask row over the
 universe ordinals of one variable, connectives combine rows with & | ^
 (`a & b` and `a -> b` ask b only at the bits a left set), and an atom
-is a lookup in the universe's rows, or one leq.  A quantified subformula is a
-row over its innermost bound free variable, kept in its own memo for
-each value of its other free variables, so it is computed once per
-outer value, not once per assignment of the variables around it.  It is
-compiled only for the way it runs: swept as a row (looping over y, or
-bit by bit) or looked up one value at a time.  Its guard is split once:
-conjuncts of G in `forall y (G -> psi)` or `exists y (G)` that leave
-the swept variable out are asked once per fill, the rest on their bits.
-When the rest is `y <= q` and psi's disjuncts but `y = q` leave q out,
-they too are asked once per fill, and one up pass answers every q.
+is a lookup in a constant's up mask or in the universe's down or up
+rows, each row built on first use; a value outside the universe has no
+row and is one leq per bit.  A quantified subformula is a row over its
+innermost bound free variable, kept in its own memo for each value of
+its other free variables, so it is computed once per outer value, not
+once per assignment of the variables around it.  It is compiled only
+for the way it runs: swept as a row (looping over y, or bit by bit) or
+looked up one value at a time; the rows over y that answer one value
+are compiled when first asked.  A loop over y stops once at most one
+value is pending, and answers that value with one row over y.  Its
+guard is split once: conjuncts of G in `forall y (G -> psi)` or
+`exists y (G)` that leave the swept variable out are asked once per
+fill, the rest on their bits.  When the rest is `y <= q` and psi's
+disjuncts but `y = q` leave q out, they too are asked once per fill,
+and one up pass answers every q.
 """
 
 import functools
@@ -480,7 +485,10 @@ class _Compiled:
     position after them.  Compiled for a row variable r, a subformula is
     a closure (env, care) -> the bits i of care at which it holds with
     r = i, env mapping the other variables in scope to ordinals.  Each
-    compiled quantifier keeps the rows it fills in its own closure.
+    compiled quantifier keeps the rows it fills in its own closure, and
+    compiles only for the way it runs: the closures of a path it never
+    takes, such as its rows over y when no value is answered bit by bit,
+    are never built.
     """
 
     def __init__(self, formula, universe, cutoff):
@@ -573,29 +581,26 @@ class _Compiled:
                 # nothing in the universe lies above an outside value
                 mask = self.universe.up_mask(o) if o < len(self.universe) else 0
                 return lambda env, care: mask & care
+            values, n = self.values, len(self.universe)
             if left_is:
-                values, n = self.values, len(self.universe)
                 down_row = self.universe.down_row
 
                 def below(env, care):
-                    # a care of at most one bit is one leq, a wider care
-                    # reads the down row, and a value outside the universe
-                    # has no row: it is one leq at each bit of care
+                    # a value in the universe reads its down row; one
+                    # outside it has no row: one leq at each bit of care
                     o = other(env)
-                    if not care & care - 1:
-                        i = care.bit_length() - 1
-                        return care if leq(values[i], values[o]) else 0
                     if o < n:
                         return down_row(o) & care
                     return sum(1 << i for i in _ones(care)
                                if leq(values[i], values[o]))
                 return below
+            up_row = self.universe.up_row
 
             def above(env, care):
-                # the up cache is built on first use; nothing lies above
-                # a value outside the universe
-                up, o = self.universe.up_bits(), other(env)
-                return up[o] << o & care if o < len(up) else 0
+                # a value in the universe reads its up row, built on first
+                # use; nothing in the universe lies above one outside it
+                o = other(env)
+                return up_row(o) << o & care if o < n else 0
             return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):
@@ -634,23 +639,58 @@ class _Compiled:
                 rows[k] = (known | need, true)
             return true
 
+        # compiled on first use, as a quantifier that loops over y may never
+        # ask them: compiled up front, they would compile each quantifier
+        # nested in them once more, at every level of a chain of them
+        rest_row = then_row = None
+
+        def holds(env, base):
+            """Q y phi at env, with base the bits of y where kept holds."""
+            nonlocal rest_row, then_row
+            if not base:
+                return want_all
+            if rest_row is None:
+                rest_row = (self._closure(rest, y, inner) if rest
+                            else lambda env, care: care)
+            hit = rest_row(env, base)
+            if not want_all:
+                return hit != 0
+            if not hit:
+                return True
+            if then_row is None:
+                then_row = self._closure(then, y, inner)
+            return then_row(env, hit) == hit
+
+        def sweep(env, need, base):
+            """The bits i of need at which Q y phi holds with q = i."""
+            local, true = dict(env), 0
+            for i in _ones(need):
+                local[q] = i
+                if holds(local, base):
+                    true |= 1 << i
+            return true
+
         if swept and _transposes(f, q):
-            # y runs over guard, the row of kept, while bits are pending:
-            # still true (forall), or not yet witnessed (exists).  The rest
-            # of phi, rest -> then for forall, rest for exists, has row q
-            # (q <= y reads down[y]) and keeps the atom q <= y
+            # y runs over base, the row of kept, while two or more bits are
+            # pending: still true (forall), or not yet witnessed (exists).
+            # The rest of phi, rest -> then for forall, rest for exists, has
+            # row q (q <= y reads down[y]) and keeps the atom q <= y.  The
+            # last pending bit, if any, is answered by holds: one row over y
             body = self._closure(Implies(rest, then) if rest and then
                                  else rest or then, q, inner)
 
             def fill(env, need):
-                local, pending = dict(env), need
-                for j in _ones(guard(env, full)):
+                local, pending, base = dict(env), need, guard(env, full)
+                for j in _ones(base):
+                    if not pending & pending - 1:
+                        break
                     local[y] = j
                     hit = body(local, pending)
                     pending = hit if want_all else pending ^ hit
-                    if not pending:
-                        break
-                return pending if want_all else need ^ pending
+                else:
+                    return pending if want_all else need ^ pending
+                last = sweep(env, pending, base)
+                return last if want_all else need ^ pending | last
             return lambda env, care: memo(env, care, fill) & care
 
         if below := swept and _below(f, rest, then, q):    # rest is y <= q
@@ -671,25 +711,9 @@ class _Compiled:
                 return need & ~hit if want_all else need & hit
             return lambda env, care: memo(env, care, fill) & care
 
-        rest_row = (self._closure(rest, y, inner) if rest
-                    else lambda env, care: care)
-        then_row = then and self._closure(then, y, inner)
-
-        def holds(env, base):
-            """Q y phi at env, with base the bits of y where kept holds."""
-            hit = rest_row(env, base) if base else 0
-            if want_all:
-                return not hit or then_row(env, hit) == hit
-            return hit != 0
-
         if swept:
             def fill(env, need):    # kept leaves q out: asked once, not per bit
-                local, base, true = dict(env), guard(env, full), 0
-                for i in _ones(need):
-                    local[q] = i
-                    if holds(local, base):
-                        true |= 1 << i
-                return true
+                return sweep(env, need, guard(env, full))
             return lambda env, care: memo(env, care, fill) & care
 
         def decide(env, bit):

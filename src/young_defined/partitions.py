@@ -25,8 +25,8 @@ class ResourceLimit(RuntimeError):
 MAX_ENUMERATION_CARD = 50
 
 # Practical ceiling for the two bit caches of one universe together
-# (Universe.down_bits and up_bits), checked where the down-row store or the
-# up cache is made.  With n elements, down mask i spans i + 1 bits and up
+# (Universe.down_bits and up_bits), checked where the down-row or the up-row
+# store is made.  With n elements, down mask i spans i + 1 bits and up
 # mask i, from its own ordinal, at most n - i: under n**2 / 8 bytes.  Each
 # element adds two int headers and two slots of lists made at full length
 # (never grown, which over-allocates).  So ~156 MB at maxCard 31, ~1.21 GB
@@ -293,7 +293,7 @@ class Universe:
                                                   initial=0))
         self._covers = None
         self._down_bits = None      # down_row's store, None until first asked
-        self._up_bits = None
+        self._up_bits = None        # up_row's, likewise
         self._cells = {}            # _cell's, by (a, b)
         self._up_memo = {}          # _contain's, by (a, b, n), a*b <= n
 
@@ -388,17 +388,25 @@ class Universe:
         anything is allocated."""
         return [self.down_row(i) for i in range(len(self.elements))]
 
-    def up_bits(self):
-        """For each ordinal i, a bitmask of the ordinals j >= i with
-        elem_i <= elem_j, stored from its own ordinal: bit j - i, so that
-        up_bits()[i] << i is up_mask(i), the mask over all ordinals, as
-        every element above elem_i comes after it."""
-        if self._up_bits is None:
+    def up_row(self, i):
+        """The bitmask of the ordinals j >= i with elem_i <= elem_j, stored
+        from its own ordinal: bit j - i, so that up_row(i) << i is
+        up_mask(i), the mask over all ordinals, as every element above
+        elem_i comes after it.  Built on first request and kept in a store
+        made after the ceiling check, like down_row's."""
+        rows = self._up_bits
+        if rows is None:
             self._check_bit_cache()
-            bits = [0] * len(self.elements)
-            for i in range(len(bits)):
-                bits[i] = self.up_mask(i) >> i
-            self._up_bits = bits
+            rows = self._up_bits = [None] * len(self.elements)
+        if rows[i] is None:
+            rows[i] = self.up_mask(i) >> i
+        return rows[i]
+
+    def up_bits(self):
+        """The store of up_row, filled at every ordinal; the first row makes
+        the ceiling check before anything is allocated."""
+        for i in range(len(self.elements)):
+            self.up_row(i)
         return self._up_bits
 
     def _contain(self, a, b, n):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from young_defined import formulas as F
 from young_defined import harness
+from young_defined import partitions as P
 from young_defined.catalog import is_rectangular, is_total, is_trivial
 from young_defined.partitions import (EMPTY, ResourceLimit, Universe,
-                                      conjugate, enumerate_universe, leq,
-                                      lower_covers, parse_partition, render,
-                                      upper_covers)
+                                      bit_cache_bytes, conjugate,
+                                      enumerate_universe, leq, lower_covers,
+                                      parse_partition, render, upper_covers)
 
 p = parse_partition
 UNI6 = enumerate_universe(6)
@@ -462,10 +463,13 @@ def test_outside_value_numbered_after_the_up_cache_exists():
     universe = Universe(6)
     compiled = F.compile_formula(F.parse('forall y (x <= y)'), universe,
                                  F.EvalConfig(5, 1))
-    assert not compiled.run({'x': p('[9]+[9]')})    # builds the up cache
+    assert compiled.run({'x': EMPTY})               # builds up row 0
     assert universe._up_bits is not None
-    assert not compiled.run({'x': p('[20]')})       # numbered after it
-    assert compiled.run({'x': EMPTY})
+    # numbered after the universe, so they read no up row
+    assert not compiled.run({'x': p('[9]+[9]')})
+    assert not compiled.run({'x': p('[20]')})
+    assert not compiled.run({'x': p('[1]')})        # builds up row 1
+    assert sum(row is not None for row in universe._up_bits) == 2
 
 
 def test_each_atom_orientation_matches_a_leq_sweep():
@@ -497,9 +501,18 @@ LOWER_COVER = ('const c = %s;\n'
                'x <= c & x != c & forall z (x <= z & z <= c -> z = x | z = c)')
 
 
-def test_down_oriented_formulas_leave_the_up_cache_unbuilt():
-    # every order atom of these reads a down mask, or a constant's up
-    # mask read off the down cache, once each quantifier is oriented
+def test_down_oriented_formulas_leave_the_up_cache_unbuilt(monkeypatch):
+    # every order atom of these reads a down row, or a constant's up mask
+    # read off the level layout, once each quantifier is oriented; a
+    # transposed sweep's last pending value reads its up row, and no up
+    # row is built that was not asked
+    asked = set()
+    up_row = Universe.up_row
+
+    def counted(self, i):
+        asked.add(i)
+        return up_row(self, i)
+    monkeypatch.setattr(Universe, 'up_row', counted)
     universe = Universe(12)
     config = F.EvalConfig(11, 1)
     xs = [q for q in universe.elements if q.card <= 11]
@@ -512,7 +525,9 @@ def test_down_oriented_formulas_leave_the_up_cache_unbuilt():
         cases.append((LOWER_COVER % render(c), lower_covers(c)))
     for text, want in cases:
         assert F.defined_set(F.parse(text), 'x', universe, config) == want, text
-    assert universe._up_bits is None
+    # only empty.fol's last pending value, x = 0, reads an up row
+    built = {i for i, row in enumerate(universe._up_bits) if row is not None}
+    assert built == asked == {0}
 
 
 def test_cover_formulas_still_build_the_up_cache():
@@ -564,6 +579,39 @@ def test_transposed_sweep_asks_its_guard_once(monkeypatch):
     assert calls == []
 
 
+# transposed quantifiers swept over x, forall and exists, with and without
+# a guard, and with a constant outside the universe as the guard's bound
+FINISHED = (
+    'forall y (x <= y)',
+    'exists y (x <= y & y != x)',
+    'const c = [2]+[1];\nforall z (x <= z & z <= c -> x = z | z = c)',
+    'const c = [9]+[9];\nforall z (x <= z & z <= c -> x = z | z = c)',
+    'const c = [9]+[9];\nexists z (z <= c & x <= z & z != x)',
+)
+
+
+def test_a_transposed_sweep_finishes_its_last_pending_value():
+    # the loop over y stops once at most one x is pending, and a last one
+    # is answered by one row over y.  A one-bit care is pending on entry;
+    # a pair drops to one bit, or to none, once the loop decides one or
+    # both; a full care drops to one at y = 0 for forall y (x <= y)
+    for text in FINISHED:
+        f = F.parse(text)
+        assert F._transposes(f, 'x'), text
+        for slack in range(3):
+            universe = enumerate_universe(3 + slack)
+            compiled = F.compile_formula(f, universe, F.EvalConfig(3, slack))
+            width = universe.ordinal_cutoff(3)
+            truth = sum(1 << i for i, x in enumerate(universe.elements[:width])
+                        if naive_eval(f, {'x': x}, universe.elements))
+            cares = [1 << i | 1 << j for i in range(width)
+                     for j in range(i, width)]
+            cares += [(1 << width) - 1, (1 << width) - 2]
+            for care in cares:     # a fresh row memo for each care
+                top = compiled._closure(f, 'x', {'x': 0})
+                assert top({}, care) == truth & care, (text, slack, care)
+
+
 def _alternating_chain(k):
     """forall y1 (x <= y1 -> exists y2 (y1 <= y2 & ... x = x)), k deep."""
     text = 'x = x'
@@ -598,13 +646,50 @@ def test_each_quantifier_is_compiled_for_one_orientation(monkeypatch):
         built.clear()
         F.defined_set(f, 'x', UNI6, F.EvalConfig(3, 1))
         return len(compiled)
-    assert closures('forall y (x <= y)') == 2
+    # x <= y for the loop over y, and for the last pending x, one row
+    # over y compiled when it is first asked
+    assert closures('forall y (x <= y)') == 3
     for k in range(1, 9):
         assert closures(_alternating_chain(k)) <= 3 * k + 1, k
         assert len(built) <= 4 * k + 4, k
     for k in range(1, 4):
         for slack in (0, 1):
             _agrees_with_naive(_alternating_chain(k), slack=slack)
+
+
+def _transposed_chain(k):
+    """forall y1 (x <= y1 -> exists y2 (y1 <= y2 & ... yk = yk)), k deep:
+    no quantifier's body has the variable two levels out free."""
+    text = 'y%d = y%d' % (k, k)
+    for i in range(k, 0, -1):
+        outer = 'y%d' % (i - 1) if i > 1 else 'x'
+        shape = 'forall %s (%s <= %s -> %s)' if i % 2 else \
+            'exists %s (%s <= %s & %s)'
+        text = shape % ('y%d' % i, outer, 'y%d' % i, text)
+    return text
+
+
+def test_rows_over_y_are_compiled_when_first_asked(monkeypatch):
+    # each quantifier of the chain is transposed where it is swept, and a
+    # lookup in the body of the one outside it.  Compiled up front, its
+    # rows over y would compile the next quantifier once more, swept, so
+    # the closures would grow like the Fibonacci numbers with the depth
+    compiled = []
+    closure = F._Compiled._closure
+
+    def counted(self, f, row, depth):
+        compiled.append(f)
+        return closure(self, f, row, depth)
+    monkeypatch.setattr(F._Compiled, '_closure', counted)
+    assert F._transposes(F.parse(_transposed_chain(3)), 'x')
+    for k in range(1, 13):
+        compiled.clear()
+        F.defined_set(F.parse(_transposed_chain(k)), 'x', UNI6,
+                      F.EvalConfig(3, 1))
+        assert len(compiled) <= 5 * k + 5, k
+    for k in range(1, 4):
+        for slack in (0, 1):
+            _agrees_with_naive(_transposed_chain(k), slack=slack)
 
 
 # --- guard shapes: forall v (G1 & ... & Gk -> psi), exists v (G1 & ... & Gk & psi)
@@ -842,44 +927,14 @@ def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
         assert F.defined_relation(_conjugated(f), names, UNI9, config) == want
 
 
-def test_one_bit_ask_agrees_with_the_down_row():
-    # a one-bit care on `x <= y` is one leq(values[i], values[o]) and builds
-    # no row, not even the row store; a wider care reads o's down row.
-    # Outside values are numbered after the universe and have no row: each
-    # bit of a wide care is one leq against them
-    universe = Universe(12)
-    config = F.EvalConfig(11, 1)
-    compiled = F.compile_formula(F.parse('x <= y'), universe, config)
-    outside = [p('[13]'), p('[7]+[6]'), p('[20]+[1]')]
-    for v in outside:
-        compiled.ordinal(v)
-    rows = Universe(12).down_bits() + [
-        sum(1 << i for i, u in enumerate(universe.elements) if leq(u, v))
-        for v in outside]
-    atom = compiled._closure(F.parse('x <= y'), 'x', {'y': 0})
-    n = len(universe)
-    for wide in (False, True):
-        for o, row in enumerate(rows):
-            if wide:
-                assert atom({'y': o}, (1 << n) - 1) == row
-            for i in range(n):
-                assert atom({'y': o}, 1 << i) == row & 1 << i, (o, i, wide)
-        # no one-bit ask built a row
-        assert (universe._down_bits is None) != wide
-    # the guard x = c leaves y out, so x <= y is asked at c's bit alone
-    for c in universe.elements:
-        f = F.Exists('x', F.And(F.Eq(F.Var('x'), F.Const('c', c)),
-                                F.Leq(F.Var('x'), F.Var('y'))))
-        for y in outside:
-            assert F.evaluate(f, {'y': y}, universe, config) == leq(c, y)
-
-
-def test_empty_formula_builds_at_most_two_down_rows():
+def test_empty_formula_builds_at_most_one_row_of_each_cache():
+    # the loop over y reads the down row of y = 0, which leaves only
+    # x = 0 pending; that one is answered by its up row
     universe = Universe(25)
     f = F.parse(F.corpus()['empty'])
     assert F.defined_set(f, 'x', universe, F.EvalConfig(24, 1)) == {EMPTY}
-    assert sum(row is not None for row in universe._down_bits) <= 2
-    assert universe._up_bits is None
+    assert sum(row is not None for row in universe._down_bits) <= 1
+    assert sum(row is not None for row in universe._up_bits) <= 1
 
 
 def test_a_formula_reading_rows_is_refused_past_the_bit_cache_ceiling():
@@ -913,6 +968,29 @@ def test_formulas_reading_no_row_evaluate_past_the_bit_cache_ceiling():
     assert universe._down_bits is None and universe._up_bits is None
     # the up-sets are read off the level layout: no cover table is built
     assert universe._covers is None
+
+
+def test_an_up_row_is_refused_where_its_store_would_be_made(monkeypatch):
+    # x <= y over y, with x assigned, reads x's up row: past the ceiling
+    # the first one is refused before the up-row store is allocated, and a
+    # formula that reads no row still evaluates
+    f = F.parse('forall y (x <= y)')
+    totality = F.parse(F.corpus()['totality'])
+    small = Universe(6)
+    monkeypatch.setattr(P, 'MAX_BIT_CACHE_BYTES',
+                        bit_cache_bytes(len(small)) - 1)
+    with pytest.raises(ResourceLimit):
+        F.evaluate(f, {'x': EMPTY}, small, F.EvalConfig(5, 1))
+    assert small._up_bits is None and small._down_bits is None
+    assert (F.defined_set(totality, 'x', small, F.EvalConfig(5, 1))
+            == {pi for pi in small if pi.card <= 5 and is_total(pi)})
+    monkeypatch.undo()
+    big = enumerate_universe(40)
+    config = F.EvalConfig(39, 1)
+    with pytest.raises(ResourceLimit):
+        F.evaluate(f, {'x': EMPTY}, big, config)
+    assert len(F.defined_set(totality, 'x', big, config)) == 40
+    assert big._up_bits is None and big._down_bits is None
 
 
 def test_constant_up_sets_past_the_ceiling_build_no_cover_table():

@@ -462,6 +462,22 @@ def test_down_rows_in_any_order_build_only_the_rows_asked(asked):
     assert lazy._covers is None
 
 
+UP14 = Universe(14).up_bits()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, len(UP14) - 1), max_size=30))
+def test_up_rows_in_any_order_build_only_the_rows_asked(asked):
+    # a row is up_mask(i) >> i, read off the cells, so like a down row it
+    # is built exactly when it is asked for, and no cover table is built
+    lazy = Universe(14)
+    for i in asked:
+        assert lazy.up_row(i) == UP14[i]
+    built = lazy._up_bits or []
+    assert {j for j, row in enumerate(built) if row is not None} == set(asked)
+    assert lazy._covers is None and lazy._down_bits is None
+
+
 def test_down_rows_are_the_cover_table_recursion():
     # neither is built from the other: each row is its own bit ORed with
     # the rows of its lower covers, read from the harness's cover table

@@ -22,12 +22,12 @@ once per assignment of the variables around it.  It is compiled only
 for the way it runs: swept as a row (looping over y, or bit by bit) or
 looked up one value at a time; the rows over y that answer one value
 are compiled when first asked.  A loop over y stops once at most one
-value is pending, and answers that value with one row over y.  Its
-guard is split once: conjuncts of G in `forall y (G -> psi)` or
-`exists y (G)` that leave the swept variable out are asked once per
-fill, the rest on their bits.  When the rest is `y <= q` and psi's
-disjuncts but `y = q` leave q out, they too are asked once per fill,
-and one up pass answers every q.
+value is pending, and answers that value with one row over y.
+`exists y (G)` is compiled as `!forall y (G -> y != y)`.  A guard is
+split once: conjuncts of G in `forall y (G -> psi)` that leave the
+swept variable out are asked once per fill, the rest on their bits.
+When the rest is `y <= q` and psi's disjuncts but `y = q` leave q out,
+they too are asked once per fill, and one up pass answers every q.
 """
 
 import functools
@@ -543,7 +543,9 @@ class _Compiled:
         if isinstance(f, Not):
             body = self._closure(f.body, row, depth)
             return lambda env, care: care ^ body(env, care)
-        if isinstance(f, (Exists, Forall)):
+        if isinstance(f, Exists):
+            return self._closure(_universal(f), row, depth)
+        if isinstance(f, Forall):
             return self._quantifier(f, row, depth)
         left = self._closure(f.left, row, depth)
         right = self._closure(f.right, row, depth)
@@ -621,8 +623,7 @@ class _Compiled:
         inner[f.var] = max(depth.values(), default=-1) + 1
         q = max(f.free, key=depth.__getitem__, default=None)
         kept, rest, then = _split_guard(f, q)
-        y, full, want_all = f.var, self.full, isinstance(f, Forall)
-        swept = q is not None and q == row
+        y, full = f.var, self.full
         guard = (self._closure(kept, y, inner) if kept
                  else lambda env, care: care)
         rows = {}   # other free variables' ordinals -> (bits known, bits true)
@@ -645,16 +646,14 @@ class _Compiled:
         rest_row = then_row = None
 
         def holds(env, base):
-            """Q y phi at env, with base the bits of y where kept holds."""
+            """forall y phi at env, base the bits of y where kept holds."""
             nonlocal rest_row, then_row
             if not base:
-                return want_all
+                return True
             if rest_row is None:
                 rest_row = (self._closure(rest, y, inner) if rest
                             else lambda env, care: care)
             hit = rest_row(env, base)
-            if not want_all:
-                return hit != 0
             if not hit:
                 return True
             if then_row is None:
@@ -662,7 +661,7 @@ class _Compiled:
             return then_row(env, hit) == hit
 
         def sweep(env, need, base):
-            """The bits i of need at which Q y phi holds with q = i."""
+            """The bits i of need at which forall y phi holds with q = i."""
             local, true = dict(env), 0
             for i in _ones(need):
                 local[q] = i
@@ -670,59 +669,52 @@ class _Compiled:
                     true |= 1 << i
             return true
 
-        if swept and _transposes(f, q):
+        if q is None or q != row:     # not swept: one value of q at a time
+            def decide(env, bit):
+                return bit if holds(env, guard(env, full)) else 0
+
+            def lookup(env, care):
+                bit = 1 << (env[q] if q else 0)
+                return care if memo(env, bit, decide) & bit else 0
+            return lookup
+
+        if _transposes(f, q):
             # y runs over base, the row of kept, while two or more bits are
-            # pending: still true (forall), or not yet witnessed (exists).
-            # The rest of phi, rest -> then for forall, rest for exists, has
-            # row q (q <= y reads down[y]) and keeps the atom q <= y.  The
-            # last pending bit, if any, is answered by holds: one row over y
-            body = self._closure(Implies(rest, then) if rest and then
-                                 else rest or then, q, inner)
+            # pending: still true, so for exists not yet witnessed.  The rest
+            # of phi, rest -> then, has row q (q <= y reads down[y]) and keeps
+            # the atom q <= y.  The last pending bit, if any, is answered by
+            # holds: one row over y
+            body = self._closure(Implies(rest, then) if rest else then,
+                                 q, inner)
 
             def fill(env, need):
                 local, pending, base = dict(env), need, guard(env, full)
                 for j in _ones(base):
                     if not pending & pending - 1:
-                        break
+                        return sweep(env, pending, base)
                     local[y] = j
-                    hit = body(local, pending)
-                    pending = hit if want_all else pending ^ hit
-                else:
-                    return pending if want_all else need ^ pending
-                last = sweep(env, pending, base)
-                return last if want_all else need ^ pending | last
-            return lambda env, care: memo(env, care, fill) & care
-
-        if below := swept and _below(f, rest, then, q):    # rest is y <= q
+                    pending = body(local, pending)
+                return pending
+        elif below := _below(f, rest, then, q):    # rest is y <= q
             fixed, diagonal = below
             asks = [self._closure(g, y, inner) for g in fixed]
 
             def fill(env, need):
-                # bad: kept's y where no fixed disjunct holds; forall wants
-                # down[q] & bad in {0, bit q if y = q}, exists anything but 0.
-                # down[q] & bad is empty exactly when q is neither in bad nor
-                # above a member of it, and {q} or empty exactly when q is not
-                # strictly above a member, so one up pass answers every q
+                # bad: kept's y where no fixed disjunct holds, all of them
+                # for exists; forall wants down[q] & bad in {0, bit q if y =
+                # q}.  down[q] & bad is empty exactly when q is neither in bad
+                # nor above a member of it, and {q} or empty exactly when q is
+                # not strictly above a member, so one up pass answers every q
                 bad = guard(env, full)
                 for ask in asks:
                     bad ^= ask(env, bad) if bad else 0
                 hit = (self.universe.strictly_above(bad, need.bit_length())
                        | (0 if diagonal else bad))
-                return need & ~hit if want_all else need & hit
-            return lambda env, care: memo(env, care, fill) & care
-
-        if swept:
+                return need & ~hit
+        else:
             def fill(env, need):    # kept leaves q out: asked once, not per bit
                 return sweep(env, need, guard(env, full))
-            return lambda env, care: memo(env, care, fill) & care
-
-        def decide(env, bit):
-            return bit if holds(env, guard(env, full)) else 0
-
-        def lookup(env, care):
-            bit = 1 << (env[q] if q else 0)
-            return care if memo(env, bit, decide) & bit else 0
-        return lookup
+        return lambda env, care: memo(env, care, fill) & care
 
 
 def _parts(f, kinds):
@@ -732,20 +724,25 @@ def _parts(f, kinds):
     return [g for child in f.children() for g in _parts(child, kinds)]
 
 
+def _universal(f):
+    """exists y phi as !forall y (phi -> y != y), the quantifier compiled."""
+    y = Var(f.var)
+    return Not(Forall(f.var, Implies(f.body, Not(Eq(y, y)))))
+
+
 def _split_guard(f, q):
-    """(kept, rest, then) for f = Q y phi swept over q, each None when
-    empty: for forall y (G -> psi) the conjuncts of G that leave q out,
-    the others, and psi; for exists y (phi) the same split of phi's
-    conjuncts, with no then; for any other forall, (None, None, phi)."""
-    want_all = isinstance(f, Forall)
-    if want_all and not isinstance(f.body, Implies):
+    """(kept, rest, then) for f = forall y phi swept over q, kept and rest
+    None when empty: for forall y (G -> psi) the conjuncts of G that leave
+    q out, the others, and psi (false for an exists, see _universal); for
+    any other forall, (None, None, phi)."""
+    if not isinstance(f.body, Implies):
         return None, None, f.body
     kept, rest = [], []
-    for g in _parts(f.body.left if want_all else f.body, And):
+    for g in _parts(f.body.left, And):
         (rest if q in g.free else kept).append(g)
     return (kept and functools.reduce(And, kept) or None,
             rest and functools.reduce(And, rest) or None,
-            f.body.right if want_all else None)
+            f.body.right)
 
 
 def _is_atom(g, kind, a, b):
@@ -757,11 +754,11 @@ def _is_atom(g, kind, a, b):
 def _below(f, rest, then, q):
     """(psi's disjuncts leaving q out, whether one is y = q or q = y) for f =
     forall y (K & y <= q -> psi) swept over q, None if another disjunct
-    keeps q; ([], False) for exists y (K & y <= q); None for any other f."""
+    keeps q, so ([false], False) for an exists; None for any other f."""
     y, fixed, diagonal = f.var, [], False
     if not _is_atom(rest, Leq, y, q):
         return None
-    for g in _parts(then, Or) if then else ():
+    for g in _parts(then, Or):
         if q not in g.free:
             fixed.append(g)
         elif _is_atom(g, Eq, y, q) or _is_atom(g, Eq, q, y):

@@ -119,11 +119,25 @@ def test_parse_refuses_deep_nesting(text):
         F.parse(text)
 
 
-def test_nesting_up_to_the_limit_parses_and_evaluates():
+@pytest.mark.parametrize('words', [
+    ('forall',), ('exists',), ('forall', 'exists'), ('exists', 'forall'),
+], ids=['forall', 'exists', 'forall-exists', 'exists-forall'])
+def test_nesting_up_to_the_limit_parses_and_evaluates(words):
+    # an exists is compiled as !forall y (phi -> false), which adds stack
+    # frames at each level, so a chain of them runs through both entries
     depth = F.MAX_NESTING - 2        # the innermost atom and its terms
-    f = F.parse('forall y (' * depth + 'x <= y' + ')' * depth)
+    prefix = ''.join('%s y%d (' % (words[i % len(words)], i)
+                     for i in range(depth))
+    f = F.parse(prefix + 'x <= y%d' % (depth - 1) + ')' * depth)
     assert f.height == F.MAX_NESTING
-    assert F.defined_set(f, 'x', UNI6, F.EvalConfig(3)) == {EMPTY}
+    # only the innermost quantifier binds a variable that occurs
+    innermost = words[(depth - 1) % len(words)]
+    xs = {q for q in UNI6.elements if q.card <= 3}
+    want = {EMPTY} if innermost == 'forall' else xs
+    config = F.EvalConfig(3)
+    assert F.defined_set(f, 'x', UNI6, config) == want
+    for x in (EMPTY, p('[1]'), p('[2]+[1]')):
+        assert F.evaluate(f, {'x': x}, UNI6, config) == (x in want)
     assert F.parse('(' * F.MAX_NESTING + 'x <= x' + ')' * F.MAX_NESTING) \
         == F.parse('x <= x')
 
@@ -649,8 +663,11 @@ def test_each_quantifier_is_compiled_for_one_orientation(monkeypatch):
     # x <= y for the loop over y, and for the last pending x, one row
     # over y compiled when it is first asked
     assert closures('forall y (x <= y)') == 3
+    # each exists is compiled as !forall y (phi -> y != y), which adds the
+    # closures of its Not, its forall and y != y: measured 4, 13, 16, 22,
+    # 25, 31, 34 and 40 for k = 1-8
     for k in range(1, 9):
-        assert closures(_alternating_chain(k)) <= 3 * k + 1, k
+        assert closures(_alternating_chain(k)) <= 5 * k + 3, k
         assert len(built) <= 4 * k + 4, k
     for k in range(1, 4):
         for slack in (0, 1):
@@ -690,6 +707,34 @@ def test_rows_over_y_are_compiled_when_first_asked(monkeypatch):
     for k in range(1, 4):
         for slack in (0, 1):
             _agrees_with_naive(_transposed_chain(k), slack=slack)
+
+
+def _as_forall(f):
+    """f, or for an exists the forall under the Not it is compiled as."""
+    return F._universal(f).body if isinstance(f, F.Exists) else f
+
+
+@pytest.mark.parametrize('text', FINISHED + (
+    'const c = [1];\nexists z (c != z & z <= x)',
+    'const c = [2]+[1];\nexists z (c <= z & z <= x & z != x)',
+    'exists y (x <= y & forall z (z <= y -> z <= x | x <= z))',
+    'forall y (x <= y -> exists z (x <= z & z <= y & z != x))',
+))
+def test_only_forall_reaches_the_quantifier_compile_paths(monkeypatch, text):
+    # transposed, down-set, bit-swept and looked-up exists alike are
+    # compiled as !forall y (phi -> false)
+    seen = []
+    quantifier, split_guard, below = (F._Compiled._quantifier,
+                                      F._split_guard, F._below)
+    monkeypatch.setattr(F._Compiled, '_quantifier', lambda self, f, *args:
+                        seen.append(type(f)) or quantifier(self, f, *args))
+    monkeypatch.setattr(F, '_split_guard', lambda f, *args:
+                        seen.append(type(f)) or split_guard(f, *args))
+    monkeypatch.setattr(F, '_below', lambda f, *args:
+                        seen.append(type(f)) or below(f, *args))
+    for slack in range(3):
+        _agrees_with_naive(text, slack=slack)
+    assert set(seen) == {F.Forall}
 
 
 # --- guard shapes: forall v (G1 & ... & Gk -> psi), exists v (G1 & ... & Gk & psi)
@@ -762,12 +807,13 @@ def test_guard_edge_cases_agree_with_naive(text):
      ('exists x (x <= z)', 'z <= x', 'z = x')),
     ('forall z (w <= z & z <= x & z != w -> z = x)',
      ('w <= z & z != w', 'z <= x', 'z = x')),
-    ('exists z (x <= z & z != x)', (None, 'x <= z & z != x', None)),
-    ('exists z (w <= z)', ('w <= z', None, None)),
+    # an exists is split as the forall it is compiled as: then is false
+    ('exists z (x <= z & z != x)', (None, 'x <= z & z != x', 'z != z')),
+    ('exists z (w <= z)', ('w <= z', None, 'z != z')),
     ('forall z (z <= x | w <= z)', (None, None, 'z <= x | w <= z')),
 ])
 def test_split_guard_parts(text, parts):
-    got = F._split_guard(F.parse(text), 'x')
+    got = F._split_guard(_as_forall(F.parse(text)), 'x')
     assert tuple(g and F.print_formula(g) for g in got) == parts
 
 
@@ -806,6 +852,7 @@ def test_row_sweep_asks_its_fixed_conjuncts_once(monkeypatch):
 
 def _below(f):
     """The down-mask sweep's reading of f swept over x, None if it has none."""
+    f = _as_forall(f)
     _, rest, then = F._split_guard(f, 'x')
     return F._below(f, rest, then, 'x')
 

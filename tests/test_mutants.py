@@ -69,6 +69,16 @@ REPORT_MUTANTS = {
     'strictly-above-stops-after-one-member': (
         'partitions.py', 'while rest:\n', 'if rest:\n',
         ['corpus-cover']),
+    # the transposed loop keeps the values phi fails at, not those it holds
+    # at; every exists runs on this loop too, as !forall y (phi -> false)
+    'transposed-loop-keeps-what-fails': (
+        'formulas.py', 'pending = body(local, pending)',
+        'pending = pending & ~body(local, pending)',
+        ['corpus-empty', 'corpus-rectangular']),
+    # the diagonal disjunct y = q of a down-set sweep ignored
+    'down-set-sweep-drops-the-diagonal': (
+        'formulas.py', '| (0 if diagonal else bad))', '| 0)',
+        ['corpus-triviality']),
 }
 
 # id: (file, old text, new text, the unit test that catches it); the quick
@@ -99,14 +109,26 @@ UNIT_MUTANTS = {
     # empty.fol is the only corpus formula whose transposed sweep ends on
     # one pending value, and that value, x = 0, is a member
     'forall-finish-keeps-the-last-pending-value-unasked': (
-        'formulas.py', 'return last if want_all else',
-        'return pending if want_all else',
+        'formulas.py', 'return sweep(env, pending, base)', 'return pending',
         'tests/test_formulas.py::'
         'test_a_transposed_sweep_finishes_its_last_pending_value'),
-    'exists-finish-drops-the-values-witnessed': (
-        'formulas.py', 'else need ^ pending | last', 'else last',
+    # no corpus file holds an exists
+    'exists-compiled-without-its-negation': (
+        'formulas.py', 'return Not(Forall(', 'return (Forall(',
         'tests/test_formulas.py::'
-        'test_a_transposed_sweep_finishes_its_last_pending_value'),
+        'test_evaluate_constants_outside_the_universe'),
+    # only eval with an outside assignment reaches the branch: a quantified
+    # variable never takes an outside value
+    'outside-value-above-everything': (
+        'formulas.py', '& care if o < n else 0\n',
+        '& care if o < n else care\n',
+        'tests/test_formulas.py::'
+        'test_outside_value_numbered_after_the_up_cache_exists'),
+    'flip-ends-swapped': (
+        'formulas.py', "{'Sigma1': (True,), 'Pi1': (False,),",
+        "{'Sigma1': (False,), 'Pi1': (True,),",
+        'tests/test_harness.py::'
+        'test_sigma1_sets_grow_and_pi1_sets_shrink_with_the_slack'),
 }
 
 

@@ -104,17 +104,17 @@ class Const(Node):
 
 
 class _Binary(Node):
-    """The two-operand atoms and connectives."""
+    """The two-operand atoms and connectives, each written as its op."""
 
     _fields = ('left', 'right')
 
 
 class Leq(_Binary):
-    pass
+    op = '<='
 
 
 class Eq(_Binary):
-    pass
+    op = '='
 
 
 class Not(Node):
@@ -122,27 +122,43 @@ class Not(Node):
 
 
 class And(_Binary):
-    pass
+    op = '&'
 
 
 class Or(_Binary):
-    pass
+    op = '|'
 
 
 class Implies(_Binary):
-    pass
+    op = '->'
 
 
 class Iff(_Binary):
-    pass
+    op = '<->'
 
 
 class Exists(Node):
     _fields = ('var', 'body')
+    word = 'exists'
 
 
 class Forall(Node):
     _fields = ('var', 'body')
+    word = 'forall'
+
+
+# The connectives by precedence, loosest first, read by the parser and the
+# printer alike: each is left associative but Implies, which is right
+# associative.  `!` binds tighter than all of them.
+_BINARY = (Iff, Implies, Or, And)
+_ATOMS = {cls.op: cls for cls in (Leq, Eq)}
+_QUANTIFIERS = {cls.word: cls for cls in (Forall, Exists)}
+
+
+def _universal(f):
+    """exists y phi as !forall y (phi -> y != y), compiled and classified."""
+    y = Var(f.var)
+    return Not(Forall(f.var, Implies(f.body, Not(Eq(y, y)))))
 
 
 def free_vars(f):
@@ -196,7 +212,7 @@ MAX_NESTING = 64
 
 
 _PRELUDE_RE = re.compile(r'\s*const\s+([A-Za-z_]\w*)\s*=\s*([^;]*);')
-_KEYWORDS = ('forall', 'exists', 'const')
+_KEYWORDS = (*_QUANTIFIERS, 'const')
 
 
 class _Parser:
@@ -247,27 +263,19 @@ class _Parser:
         self.depth -= 1
         return node
 
-    # precedence climbing, loosest first
-    def formula(self):
-        return self.chain('<->', Iff, self.implies)
-
-    def chain(self, op, cls, operand):
-        """operand()s joined by a left associative op."""
-        left = operand()
-        while self.peek()[1] == op:
+    def formula(self, level=0):
+        """Precedence climbing: formulas binding tighter than _BINARY[level]
+        joined by it left to right, but by Implies to the right, nested."""
+        if level == len(_BINARY):
+            return self.negation()
+        cls = _BINARY[level]
+        left = self.formula(level + 1)
+        while self.peek()[1] == cls.op:
             self.next()
-            left = cls(left, operand())
+            right = (self.nested(lambda: self.formula(level)) if cls is Implies
+                     else self.formula(level + 1))
+            left = cls(left, right)
         return left
-
-    def implies(self):
-        left = self.chain('|', Or, self.conjunction)
-        if self.peek()[1] == '->':
-            self.next()
-            return Implies(left, self.nested(self.implies))   # right associative
-        return left
-
-    def conjunction(self):
-        return self.chain('&', And, self.negation)
 
     def negation(self):
         if self.peek()[1] == '!':
@@ -282,7 +290,7 @@ class _Parser:
             inner = self.nested(self.formula)
             self.expect(')')
             return inner
-        if val in ('forall', 'exists'):
+        if val in _QUANTIFIERS:
             self.next()
             name_kind, name, name_pos = self.next()
             if name_kind != 'name' or name in _KEYWORDS:
@@ -292,16 +300,14 @@ class _Parser:
             self.expect('(')
             body = self.nested(self.formula)
             self.expect(')')
-            return (Forall if val == 'forall' else Exists)(name, body)
+            return _QUANTIFIERS[val](name, body)
         return self.atom()
 
     def atom(self):
         left = self.term()
         kind, val, pos = self.next()
-        if val == '<=':
-            return Leq(left, self.term())
-        if val == '=':
-            return Eq(left, self.term())
+        if val in _ATOMS:
+            return _ATOMS[val](left, self.term())
         if val == '!=':
             return Not(Eq(left, self.term()))
         self.fail('expected <=, = or != after a term', pos)
@@ -354,16 +360,12 @@ def print_formula(f):
     return _print(f, 0)
 
 
-_LEVEL = {'Iff': 1, 'Implies': 2, 'Or': 3, 'And': 4}
-
-
 def _print(f, need):
+    """f as text, in parentheses if it binds looser than _BINARY[need]."""
     if isinstance(f, Var) or isinstance(f, Const):
         return f.name
-    if isinstance(f, Leq):
-        return '%s <= %s' % (_print(f.left, 9), _print(f.right, 9))
-    if isinstance(f, Eq):
-        return '%s = %s' % (_print(f.left, 9), _print(f.right, 9))
+    if isinstance(f, (Leq, Eq)):
+        return '%s %s %s' % (_print(f.left, 9), f.op, _print(f.right, 9))
     if isinstance(f, Not):
         if isinstance(f.body, Eq):
             return '%s != %s' % (_print(f.body.left, 9), _print(f.body.right, 9))
@@ -371,15 +373,13 @@ def _print(f, need):
             return '!%s' % _print(f.body, 9)
         return '!(%s)' % _print(f.body, 0)
     if isinstance(f, (Exists, Forall)):
-        word = 'forall' if isinstance(f, Forall) else 'exists'
-        return '%s %s (%s)' % (word, f.var, _print(f.body, 0))
-    ops = {'Iff': '<->', 'Implies': '->', 'Or': '|', 'And': '&'}
-    name = type(f).__name__
-    level = _LEVEL[name]
-    if name == 'Implies':
-        text = '%s %s %s' % (_print(f.left, level + 1), ops[name], _print(f.right, level))
+        return '%s %s (%s)' % (f.word, f.var, _print(f.body, 0))
+    level = _BINARY.index(type(f))
+    # its own connective needs parentheses on the side it does not group
+    if isinstance(f, Implies):
+        text = '%s %s %s' % (_print(f.left, level + 1), f.op, _print(f.right, level))
     else:
-        text = '%s %s %s' % (_print(f.left, level), ops[name], _print(f.right, level + 1))
+        text = '%s %s %s' % (_print(f.left, level), f.op, _print(f.right, level + 1))
     if level < need:
         return '(%s)' % text
     return text
@@ -399,11 +399,12 @@ def print_file(f):
 def _levels(f):
     """Least (Sigma, Pi) prenex levels of a formula, syntactically.
 
-    A leading existential block costs one Sigma level and embeds in Pi
-    one level higher, dually for universal; conjunction and disjunction
-    merge like-kind blocks, so they take the componentwise maximum.  A
-    negation swaps the levels, `a -> b` is `!a | b`, and `a <-> b` is
-    `(!a | b) & (!b | a)`, whose two levels are the largest of all four.
+    A leading universal block costs one Pi level and embeds in Sigma one
+    level higher; conjunction and disjunction merge like-kind blocks, so
+    they take the componentwise maximum.  A negation swaps the levels,
+    `a -> b` is `!a | b`, and `a <-> b` is `(!a | b) & (!b | a)`, whose
+    two levels are the largest of all four.  An exists is classified as
+    it is compiled, through _universal.
     """
     if isinstance(f, (Leq, Eq)):
         return (0, 0)
@@ -420,8 +421,7 @@ def _levels(f):
             return (top, top)
         return (max(ls, rs), max(lp, rp))
     if isinstance(f, Exists):
-        s = max(_levels(f.body)[0], 1)
-        return (s, s + 1)
+        return _levels(_universal(f))
     if isinstance(f, Forall):
         p = max(_levels(f.body)[1], 1)
         return (p + 1, p)
@@ -724,12 +724,6 @@ def _parts(f, kinds):
     return [g for child in f.children() for g in _parts(child, kinds)]
 
 
-def _universal(f):
-    """exists y phi as !forall y (phi -> y != y), the quantifier compiled."""
-    y = Var(f.var)
-    return Not(Forall(f.var, Implies(f.body, Not(Eq(y, y)))))
-
-
 def _split_guard(f, q):
     """(kept, rest, then) for f = forall y phi swept over q, kept and rest
     None when empty: for forall y (G -> psi) the conjuncts of G that leave
@@ -772,7 +766,7 @@ def _transposes(f, q):
     """Whether f = Q y phi, swept as a row over q, loops over y instead:
     phi has an atom q <= y, no y <= q, and no quantified subformula with
     q free (its row would be keyed on q, which is not in env there)."""
-    direct, y = _parts(f.body, (Not, And, Or, Implies, Iff)), f.var
+    direct, y = _parts(f.body, (Not, *_BINARY)), f.var
     return (any(_is_atom(g, Leq, q, y) for g in direct)
             and not any(_is_atom(g, Leq, y, q) for g in direct)
             and not any(isinstance(g, (Exists, Forall)) and q in g.free

@@ -2,6 +2,7 @@
 evaluator (checked against a deliberately naive interpreter)."""
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,48 @@ def test_precedence_and_associativity():
     assert isinstance(g.right, F.Implies)            # right associative
     h = F.parse("x = x <-> x = x <-> x = x")
     assert isinstance(h.left, F.Iff)                 # left associative
+
+
+# README: "Operators by loosening precedence: `!`, `&`, `|`, `->` (right
+# associative), `<->` (left associative)"; `&` and `|` group to the left
+LOOSENING = [('&', F.And), ('|', F.Or), ('->', F.Implies), ('<->', F.Iff)]
+ABC = ('x <= y', 'y = z', 'z != x')
+PAIRS = list(itertools.product(range(len(LOOSENING)), repeat=2))
+
+
+def _groups_right(first, second):
+    """Whether `a first b second c` reads as `a first (b second c)`, for
+    two places in LOOSENING."""
+    if first == second:
+        return LOOSENING[first][0] == '->'
+    return first > second       # first is the looser of the two
+
+
+@pytest.mark.parametrize('first, second', PAIRS,
+                         ids=['%s-%s' % (LOOSENING[i][1].__name__,
+                                         LOOSENING[j][1].__name__)
+                              for i, j in PAIRS])
+def test_each_pair_of_connectives_parses_and_prints_as_documented(first,
+                                                                  second):
+    (op1, cls1), (op2, cls2) = LOOSENING[first], LOOSENING[second]
+    a, b, c = map(F.parse, ABC)
+    right = cls1(a, cls2(b, c))
+    text = '%s %s %s %s %s' % (ABC[0], op1, ABC[1], op2, ABC[2])
+    assert F.parse(text) == (right if _groups_right(first, second)
+                             else cls2(cls1(a, b), c))
+    # the second connective nested on either side of the first: in
+    # parentheses exactly where the bare text would group the other way
+    inner = '%s %s %s' % (ABC[1], op2, ABC[2])
+    if not _groups_right(first, second):
+        inner = '(%s)' % inner
+    assert F.print_formula(right) == '%s %s %s' % (ABC[0], op1, inner)
+    inner = '%s %s %s' % (ABC[0], op2, ABC[1])
+    if _groups_right(second, first):
+        inner = '(%s)' % inner
+    left = cls1(cls2(a, b), c)
+    assert F.print_formula(left) == '%s %s %s' % (inner, op1, ABC[2])
+    for f in (right, left):
+        assert F.parse(F.print_formula(f)) == f
 
 
 def test_negation_binds_one_atom():
@@ -290,6 +333,13 @@ def test_implication_classifies_as_its_disjunction(f, g):
 def test_equivalence_classifies_as_its_two_implications(f, g):
     assert F.prenex_classify(F.Iff(f, g)) == F.prenex_classify(
         F.And(F.Or(F.Not(f), g), F.Or(F.Not(g), f)))
+
+
+@given(formula_trees, names)
+def test_exists_classifies_as_its_negated_universal(f, v):
+    false = F.Not(F.Eq(F.Var(v), F.Var(v)))
+    assert F.prenex_classify(F.Exists(v, f)) \
+        == F.prenex_classify(F.Not(F.Forall(v, F.Implies(f, false))))
 
 
 @given(formula_trees)

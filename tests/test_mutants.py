@@ -66,6 +66,20 @@ REPORT_MUTANTS = {
         'partitions.py', ', a - 1, -1)', ', a, -1)',
         ['corpus-cover', 'corpus-rectangular', 'corpus-totality',
          'corpus-triviality', 'embed-antichain-5', 'embed-2-crown']),
+    # a canonical partition's largest part read off its last run
+    'largest-part-is-the-smallest': (
+        'partitions.py', 'self.largest = runs[0][0]\n        return self',
+        'self.largest = runs[-1][0]\n        return self',
+        ['prop-3.5-distinct', 'prop-3.6-part-of-b', 'prop-3.7-factorial',
+         'variant-resolution(prop-3.6-part-of-a | prop-3.6-part-of-b)',
+         'prop-3.11-height-geq', 'prop-3.12-height-eq', 'corpus-triviality',
+         'embed-2-crown']),
+    'leq-refuses-an-equal-part': (
+        'partitions.py', 'if size_p < size:', 'if size_p <= size:',
+        ['lemma-3.1-total', 'lemma-3.1-trivial', 'lemma-3.4-length',
+         'lemma-3.4-bounded-part', 'prop-3.5-distinct', 'prop-3.6-part-of-b',
+         'variant-resolution(prop-3.6-part-of-a | prop-3.6-part-of-b)',
+         'corpus-rectangular', 'embed-2-crown']),
     'strictly-above-stops-after-one-member': (
         'partitions.py', 'while rest:\n', 'if rest:\n',
         ['corpus-cover']),
@@ -82,18 +96,54 @@ REPORT_MUTANTS = {
 }
 
 # id: (file, old text, new text, the unit test that catches it); the quick
-# report passed each of these when it was listed, which is not re-run here
-# to keep the catalog within a few seconds of tier-1
+# report passed each of these, or crashed with exit 2, when it was listed,
+# which is not re-run here to keep the catalog within a few seconds of tier-1
 UNIT_MUTANTS = {
     'contains-strictly-below-max-card': (
         'partitions.py', 'pi.card <= self.max_card', 'pi.card < self.max_card',
         'tests/test_partitions.py::test_universe_lookup'),
+    # _starts' off-by-ones index past a level, so the report crashes
+    'block-start-one-after-its-block': (
+        'partitions.py', 'row[m] = pos\n', 'row[m] = pos + 1\n',
+        'tests/test_partitions.py::'
+        'test_block_starts_count_the_partitions_before_each_block'),
+    'small-parts-start-one-late': (
+        'partitions.py', 'row[0] = pos\n', 'row[0] = pos + 1\n',
+        'tests/test_partitions.py::'
+        'test_block_starts_count_the_partitions_before_each_block'),
+    'block-size-one-too-many': (
+        'partitions.py', '- _start(r, s, 0)\n', '- _start(r, s, 0) + 1\n',
+        'tests/test_partitions.py::'
+        'test_block_starts_count_the_partitions_before_each_block'),
     'down-row-without-the-guard': (
         'partitions.py',
         'self._check_bit_cache()\n            rows = self._down_bits',
         'rows = self._down_bits',
         'tests/test_partitions.py::'
         'test_the_ceiling_is_checked_where_a_store_is_made'),
+    # the standard report moves 334 decodes, the first at [4]+2[3]
+    'sieve-ascending': (
+        'arithmetization.py', 'in reversed(list(enumerate(small, 3))):',
+        'in list(enumerate(small, 3)):',
+        'tests/test_arithmetization.py::'
+        'test_factor_table_matches_an_independent_sieve'),
+    'totalize-builds-the-code-before-its-bound': (
+        'arithmetization.py', 'if (low > TOTALIZE_CEILING.bit_length()',
+        'if (False',
+        'tests/test_arithmetization.py::'
+        'test_totalize_refuses_before_it_builds_the_code'),
+    'embed-search-unbudgeted': (
+        'harness.py', 'if need > MAX_BIT_CACHE_BYTES:', 'if False:',
+        'tests/test_harness.py::'
+        'test_embed_poset_budgets_its_search_before_the_bit_caches'),
+    # no corpus file mixes & and | without parentheses, or chains ->
+    'or-binds-tighter-than-and': (
+        'formulas.py', '_BINARY = (Iff, Implies, Or, And)',
+        '_BINARY = (Iff, Implies, And, Or)',
+        'tests/test_formulas.py::test_precedence_and_associativity'),
+    'implies-left-associative': (
+        'formulas.py', 'if cls is Implies', 'if False',
+        'tests/test_formulas.py::test_precedence_and_associativity'),
     'outside-leq-swapped': (
         'formulas.py', 'if leq(values[i], values[o]))',
         'if leq(values[o], values[i]))',
@@ -124,6 +174,10 @@ UNIT_MUTANTS = {
         '& care if o < n else care\n',
         'tests/test_formulas.py::'
         'test_outside_value_numbered_after_the_up_cache_exists'),
+    'flip-direction-ignored': (
+        'formulas.py', '(after if k0 < k1 else before)', 'after',
+        'tests/test_harness.py::'
+        'test_corpus_report_fails_a_flip_against_the_class'),
     'flip-ends-swapped': (
         'formulas.py', "{'Sigma1': (True,), 'Pi1': (False,),",
         "{'Sigma1': (False,), 'Pi1': (True,),",

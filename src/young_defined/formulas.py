@@ -602,7 +602,7 @@ class _Compiled:
                 # a value in the universe reads its up row, built on first
                 # use; nothing in the universe lies above one outside it
                 o = other(env)
-                return up_row(o) << o & care if o < n else 0
+                return up_row(o) & care if o < n else 0
             return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):

@@ -153,6 +153,9 @@ def variant_resolution(report_a, report_b):
 # ---------------------------------------------------------------------------
 # reconstruction from lower covers
 
+RECONSTRUCTION_BOUND = 25   # 9,296 elements: table and fingerprints in 0.1 s
+
+
 def _fingerprints(universe, n):
     """Level n's ordinals, in order, grouped by their lower-cover sets."""
     rows = universe.cover_table()
@@ -333,23 +336,21 @@ def embed_poset(poset, max_card):
     re-check a map found with verify_embedding.
 
     Backtracking assigns poset elements in depth order, ties as declared;
-    candidate images are tried in enumeration order (cardinality, then
-    level index) with forward checking on the remaining candidates.  None
-    means no embedding exists within this truncation — it says nothing
-    about the unbounded order.
+    each tries images in enumeration order, forward checking the others
+    by the image's down and up rows, the only rows built.  None means no
+    embedding exists within this truncation, not in the unbounded order.
     """
     universe = enumerate_universe(max_card)
     # the search holds up to n lists of n candidate masks, n the poset's
-    # size: each list costs 56 + 8n bytes, and list i holds new masks in
-    # slots i + 1 onward, each of at most w bits for the w universe
-    # elements, at 28 bytes plus 4 per 30 bits
+    # size, at 56 + 8n bytes a list; list i holds new masks in slots i + 1
+    # on, each at most w bits (28 bytes plus 4 per 30 bits) for the w
+    # universe elements; a search may try every element, building each row
     n, w = len(poset.elements), len(universe.elements)
     need = (n * (56 + 8 * n) + n * (n - 1) // 2 * (28 + 4 * -(-w // 30))
             + bit_cache_bytes(w))
     if need > MAX_BIT_CACHE_BYTES:
         raise ResourceLimit('embedding %d elements needs about %d bytes, over'
                             ' the ceiling %d' % (n, need, MAX_BIT_CACHE_BYTES))
-    down, up = universe.down_bits(), universe.up_bits()
     below = {e: [a for a in poset.elements if (a, e) in poset.less]
              for e in poset.elements}
     # an element has more elements below it than any element below it
@@ -379,8 +380,8 @@ def embed_poset(poset, max_card):
         low = mask & -mask
         candidates[i] = mask ^ low
         u = low.bit_length() - 1
-        above = up[u] << u
-        strictly_above, incomparable = above ^ low, ~(down[u] | above)
+        above = universe.up_row(u)
+        strictly_above, incomparable = above ^ low, ~(universe.down_row(u) | above)
         narrowed = list(candidates)
         for j in range(i + 1, len(order)):
             narrowed[j] &= strictly_above if less[i][j] else incomparable
@@ -597,7 +598,8 @@ def check_all(profile):
         reports.append(report)
     reports.append(variant_resolution(by_name['prop-3.6-part-of-a'],
                                       by_name['prop-3.6-part-of-b']))
-    reports.append(reconstruction_check(_profile_bound(25, profile, 10)))
+    reports.append(reconstruction_check(
+        _profile_bound(RECONSTRUCTION_BOUND, profile, 10)))
     reports.append(automorphism_report(
         _profile_bound(AUTOMORPHISM_RANK, profile, 5)))
     reports.append(arithmetization_report(

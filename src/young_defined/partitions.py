@@ -384,27 +384,24 @@ class Universe:
         return rows[i]
 
     def down_bits(self):
-        """Each down_row(i) at i; the first makes the ceiling check before
-        anything is allocated."""
+        """down_row(i) at every i, which only tests and the tracer ask for."""
         return [self.down_row(i) for i in range(len(self.elements))]
 
     def up_row(self, i):
-        """The bitmask of the ordinals j >= i with elem_i <= elem_j, stored
-        from its own ordinal: bit j - i, so that up_row(i) << i is
-        up_mask(i), the mask over all ordinals, as every element above
-        elem_i comes after it.  Built on first request and kept in a store
-        made after the ceiling check, like down_row's."""
+        """up_mask(i), the bitmask of the ordinals j with elem_i <= elem_j,
+        built on first request and kept in a store made after the ceiling
+        check, like down_row's.  Every element above elem_i comes after it,
+        so the store keeps the row from its own ordinal: bit j - i."""
         rows = self._up_bits
         if rows is None:
             self._check_bit_cache()
             rows = self._up_bits = [None] * len(self.elements)
         if rows[i] is None:
             rows[i] = self.up_mask(i) >> i
-        return rows[i]
+        return rows[i] << i
 
     def up_bits(self):
-        """The store of up_row, filled at every ordinal; the first row makes
-        the ceiling check before anything is allocated."""
+        """up_row's store, filled at every ordinal: row i from bit i on."""
         for i in range(len(self.elements)):
             self.up_row(i)
         return self._up_bits
@@ -456,10 +453,10 @@ class Universe:
         return up & cut
 
     def up_mask(self, i):
-        """up_bits()[i] << i without the up cache: the mask of the ordinals
-        j with elem_i <= elem_j.  pi <= lam exactly when lam holds each
-        corner (a, b) of pi, the last row b of each run of part a, so the
-        mask is the AND of the _cell of pi's corners."""
+        """up_row(i) kept in no store, so formula constants and
+        strictly_above read it above the bit cache ceiling too.  pi <= lam
+        exactly when lam holds each corner (a, b) of pi, the last row b of
+        each run of part a: the mask is the AND of the _cell of each."""
         runs, mask = self.elements[i].runs, (1 << len(self.elements)) - 1
         for a, b in zip([a for a, _ in runs],
                         itertools.accumulate(k for _, k in runs)):

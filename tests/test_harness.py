@@ -194,6 +194,25 @@ def test_cover_suites_read_the_cover_table(monkeypatch):
     assert calls == []
 
 
+def test_the_quick_report_reads_no_whole_bit_cache(monkeypatch):
+    # every order row is asked for one at a time; the embed suites still
+    # find the maps of the recorded report
+    def refuse(self):
+        raise AssertionError('a whole bit cache was built')
+    for name in ('down_bits', 'up_bits'):
+        monkeypatch.setattr(Universe, name, refuse)
+    document, code = harness.check_all('quick')
+    assert code == 0
+    recorded = json.loads((pathlib.Path(__file__).parent / 'data'
+                           / 'check_all_quick.json').read_text(encoding='utf-8'))
+    embeds = [[s['details'] for s in doc['suites']
+               if s['propositionName'].startswith('embed-')]
+              for doc in (document, recorded)]
+    assert len(embeds[0]) == 4 and embeds[0] == embeds[1]
+    with pytest.raises(AssertionError):
+        Universe(3).up_bits()             # the patch is in force
+
+
 def test_reconstruction_needs_enough_levels():
     with pytest.raises(harness.UsageError):
         harness.reconstruction_check(3)
@@ -303,7 +322,9 @@ def test_embed_not_found_when_the_bound_is_too_low():
     assert harness.embed_poset(harness.FinitePoset.antichain(8), 4) is None
 
 
-def test_embed_poset_needs_little_beyond_the_two_bit_caches():
+def test_embed_poset_builds_a_fraction_of_the_two_bit_caches():
+    # only the rows of the images it tries: about 0.09 of the estimate,
+    # where building both caches whole peaked at 1.1
     universe = enumerate_universe(20)    # the level tables, built once
     tracemalloc.start()
     try:
@@ -311,7 +332,26 @@ def test_embed_poset_needs_little_beyond_the_two_bit_caches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * bit_cache_bytes(len(universe))
+    assert peak <= 0.25 * bit_cache_bytes(len(universe))
+
+
+def test_embed_poset_builds_only_the_rows_it_tries(monkeypatch):
+    made = []
+
+    def recorded(max_card):
+        made.append(enumerate_universe(max_card))
+        return made[-1]
+    monkeypatch.setattr(harness, 'enumerate_universe', recorded)
+    poset = harness.FinitePoset.chain(5)
+    mapping = harness.embed_poset(poset, 25)
+    assert [render(mapping[e]) for e in poset.elements] == [
+        '0', '[1]', '[2]', '[3]', '[4]']
+    # each element takes its first candidate, so five of the 9,296 rows
+    universe, = made
+    tried = {universe.ordinal(pi) for pi in mapping.values()}
+    assert len(universe) == 9296 and len(tried) == 5
+    for rows in (universe._down_bits, universe._up_bits):
+        assert {i for i, row in enumerate(rows) if row is not None} == tried
 
 
 def test_embed_places_elements_by_depth():

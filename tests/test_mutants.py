@@ -53,6 +53,11 @@ REPORT_MUTANTS = {
         'partitions.py', '= self.up_mask(i) >> i\n',
         '= self.up_mask(i) >> i & ~1\n',
         ['corpus-empty', 'embed-chain-5']),
+    # an up row handed out as its store keeps it, shifted down by i
+    'up-row-returns-its-stored-shift': (
+        'partitions.py', 'return rows[i] << i\n', 'return rows[i]\n',
+        ['corpus-cover', 'corpus-rectangular', 'embed-chain-5',
+         'embed-antichain-5', 'embed-2-crown', 'embed-antichain-8-too-low']),
     'up-mask-without-its-own-bit': (
         'partitions.py', 'mask &= self._cell(a, b)\n        return mask\n',
         'mask &= self._cell(a, b)\n        return mask ^ 1 << i\n',
@@ -80,6 +85,10 @@ REPORT_MUTANTS = {
          'lemma-3.4-bounded-part', 'prop-3.5-distinct', 'prop-3.6-part-of-b',
          'variant-resolution(prop-3.6-part-of-a | prop-3.6-part-of-b)',
          'corpus-rectangular', 'embed-2-crown']),
+    # candidates below an image kept as incomparable to it
+    'embed-incomparable-without-the-down-row': (
+        'harness.py', '~(universe.down_row(u) | above)', '~above',
+        ['embed-antichain-5', 'embed-2-crown', 'embed-antichain-8-too-low']),
     'strictly-above-stops-after-one-member': (
         'partitions.py', 'while rest:\n', 'if rest:\n',
         ['corpus-cover']),

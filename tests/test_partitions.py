@@ -462,17 +462,17 @@ def test_down_rows_in_any_order_build_only_the_rows_asked(asked):
     assert lazy._covers is None
 
 
-UP14 = Universe(14).up_bits()
+UNI14 = Universe(14)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, len(UP14) - 1), max_size=30))
+@given(st.lists(st.integers(0, len(UNI14) - 1), max_size=30))
 def test_up_rows_in_any_order_build_only_the_rows_asked(asked):
-    # a row is up_mask(i) >> i, read off the cells, so like a down row it
-    # is built exactly when it is asked for, and no cover table is built
+    # a row is up_mask(i), read off the cells, so like a down row it is
+    # built exactly when it is asked for, and no cover table is built
     lazy = Universe(14)
     for i in asked:
-        assert lazy.up_row(i) == UP14[i]
+        assert lazy.up_row(i) == UNI14.up_mask(i)
     built = lazy._up_bits or []
     assert {j for j, row in enumerate(built) if row is not None} == set(asked)
     assert lazy._covers is None and lazy._down_bits is None
@@ -528,12 +528,13 @@ def test_strictly_above_edge_cases():
 
 
 def test_up_mask_is_the_up_cache_row_at_every_ordinal():
-    # both are read off the level layout, so the reference is a leq sweep
+    # both are read off the level layout, so the reference is a leq sweep;
+    # an up row comes back full width, and only its store is shifted
     universe = Universe(14)
     up = universe.up_bits()
     for o in range(len(universe)):
         want = _strictly_above_by_leq(universe, 1 << o, len(universe)) | 1 << o
-        assert universe.up_mask(o) == want == up[o] << o, o
+        assert universe.up_row(o) == universe.up_mask(o) == want == up[o] << o, o
     # the memo holds one state per (a, b, n) with a*b <= n, a corner of an
     # element below level n or a recursion's rest: 269 at most here, so
     # it stays under the element count without being dropped

@@ -13,8 +13,8 @@ whatever the caller assigns; definedSet sweeps them up to maxCard only.
 The evaluator is relational: a subformula is a bitmask row over the
 universe ordinals of one variable, connectives combine rows with & | ^
 (`a & b` and `a -> b` ask b only at the bits a left set), and an atom
-is a lookup in a constant's up mask or in the universe's down or up
-rows, each row built on first use; a value outside the universe has no
+is a lookup in the down row (built on first use) or the up mask (read
+off the cells) of its other term; a value outside the universe has no
 row and is one leq per bit.  A quantified subformula is a row over its
 innermost bound free variable, kept in its own memo for each value of
 its other free variables, so it is computed once per outer value, not
@@ -578,11 +578,6 @@ class _Compiled:
             other = self._operand(term)
             if isinstance(f, Eq):
                 return lambda env, care: (1 << other(env)) & care
-            if isinstance(term, Const) and not left_is:    # built once
-                o = self.ordinal(term.value)
-                # nothing in the universe lies above an outside value
-                mask = self.universe.up_mask(o) if o < len(self.universe) else 0
-                return lambda env, care: mask & care
             values, n = self.values, len(self.universe)
             if left_is:
                 down_row = self.universe.down_row
@@ -596,13 +591,13 @@ class _Compiled:
                     return sum(1 << i for i in _ones(care)
                                if leq(values[i], values[o]))
                 return below
-            up_row = self.universe.up_row
+            up_mask = self.universe.up_mask
 
             def above(env, care):
-                # a value in the universe reads its up row, built on first
-                # use; nothing in the universe lies above one outside it
+                # an up mask, a constant's too, is read off the cells each
+                # time; nothing in the universe lies above an outside value
                 o = other(env)
-                return up_row(o) & care if o < n else 0
+                return up_mask(o) & care if o < n else 0
             return above
         left, right = self._operand(f.left), self._operand(f.right)
         if isinstance(f, Eq):

@@ -337,8 +337,8 @@ def embed_poset(poset, max_card):
 
     Backtracking assigns poset elements in depth order, ties as declared;
     each tries images in enumeration order, forward checking the others
-    by the image's down and up rows, the only rows built.  None means no
-    embedding exists within this truncation, not in the unbounded order.
+    by the image's down row and up mask, the only rows built.  None means
+    no embedding exists within this truncation, not in the unbounded order.
     """
     universe = enumerate_universe(max_card)
     # the search holds up to n lists of n candidate masks, n the poset's
@@ -380,7 +380,7 @@ def embed_poset(poset, max_card):
         low = mask & -mask
         candidates[i] = mask ^ low
         u = low.bit_length() - 1
-        above = universe.up_row(u)
+        above = universe.up_mask(u)
         strictly_above, incomparable = above ^ low, ~(universe.down_row(u) | above)
         narrowed = list(candidates)
         for j in range(i + 1, len(order)):

@@ -25,12 +25,12 @@ class ResourceLimit(RuntimeError):
 MAX_ENUMERATION_CARD = 50
 
 # Practical ceiling for the two bit caches of one universe together
-# (Universe.down_bits and up_bits), checked where the down-row or the up-row
-# store is made.  With n elements, down mask i spans i + 1 bits and up
-# mask i, from its own ordinal, at most n - i: under n**2 / 8 bytes.  Each
-# element adds two int headers and two slots of lists made at full length
-# (never grown, which over-allocates).  So ~156 MB at maxCard 31, ~1.21 GB
-# at 36, ~1.80 GB at 37 and ~2.66 GB at 38: the ceiling admits 37, not 38.
+# (Universe.down_bits and up_bits), checked where the down-row store or
+# the whole up cache is made.  With n elements, down mask i spans i + 1
+# bits and up mask i, from its own ordinal, at most n - i: under n**2 / 8
+# bytes.  Each element adds two int headers and two slots of lists made at
+# full length (never grown, which over-allocates).  So ~156 MB at maxCard
+# 31, ~1.21 GB at 36, ~1.80 GB at 37, ~2.66 GB at 38: it admits 37, not 38.
 MAX_BIT_CACHE_BYTES = 2 * 2 ** 30
 
 
@@ -293,7 +293,7 @@ class Universe:
                                                   initial=0))
         self._covers = None
         self._down_bits = None      # down_row's store, None until first asked
-        self._up_bits = None        # up_row's, likewise
+        self._up_bits = None        # up_bits()'s, None until it is asked
         self._cells = {}            # _cell's, by (a, b)
         self._up_memo = {}          # _contain's, by (a, b, n), a*b <= n
 
@@ -387,23 +387,16 @@ class Universe:
         """down_row(i) at every i, which only tests and the tracer ask for."""
         return [self.down_row(i) for i in range(len(self.elements))]
 
-    def up_row(self, i):
-        """up_mask(i), the bitmask of the ordinals j with elem_i <= elem_j,
-        built on first request and kept in a store made after the ceiling
-        check, like down_row's.  Every element above elem_i comes after it,
-        so the store keeps the row from its own ordinal: bit j - i."""
-        rows = self._up_bits
-        if rows is None:
-            self._check_bit_cache()
-            rows = self._up_bits = [None] * len(self.elements)
-        if rows[i] is None:
-            rows[i] = self.up_mask(i) >> i
-        return rows[i] << i
-
     def up_bits(self):
-        """up_row's store, filled at every ordinal: row i from bit i on."""
-        for i in range(len(self.elements)):
-            self.up_row(i)
+        """up_mask(i) from bit i on, as all above elem_i come after it, at
+        every i: built once after the ceiling check, for tests and tracer."""
+        if self._up_bits is None:
+            self._check_bit_cache()
+            # made at full length, never grown, as the estimate assumes
+            rows = [None] * len(self.elements)
+            for i in range(len(rows)):
+                rows[i] = self.up_mask(i) >> i
+            self._up_bits = rows
         return self._up_bits
 
     def _contain(self, a, b, n):
@@ -453,8 +446,8 @@ class Universe:
         return up & cut
 
     def up_mask(self, i):
-        """up_row(i) kept in no store, so formula constants and
-        strictly_above read it above the bit cache ceiling too.  pi <= lam
+        """The bitmask of the ordinals j with elem_i <= elem_j, kept in no
+        store, so it is read above the bit cache ceiling too.  pi <= lam
         exactly when lam holds each corner (a, b) of pi, the last row b of
         each run of part a: the mask is the AND of the _cell of each."""
         runs, mask = self.elements[i].runs, (1 << len(self.elements)) - 1

@@ -1,9 +1,13 @@
 """Shared fixtures."""
 
+import collections
 import inspect
+import sys
 import textwrap
 
 import pytest
+
+from young_defined.partitions import Universe
 
 
 @pytest.fixture
@@ -21,3 +25,17 @@ def mutant():
                      inspect.getsourcefile(original), 'exec'), namespace)
         return namespace[fn.__name__]
     return build
+
+
+@pytest.fixture
+def up_masks(monkeypatch):
+    """Universe.up_mask recorded: the ordinals passed to it, in order, as
+    one list per name of the calling function (above, embed_poset, ...)."""
+    asked = collections.defaultdict(list)
+    up_mask = Universe.up_mask
+
+    def recorded(self, i):
+        asked[sys._getframe(1).f_code.co_name].append(i)
+        return up_mask(self, i)
+    monkeypatch.setattr(Universe, 'up_mask', recorded)
+    return asked

@@ -523,17 +523,17 @@ def test_evaluate_constants_outside_the_universe():
     assert F.evaluate(g, {'x': p('(5,1)')}, UNI6, F.EvalConfig(6, 0))
 
 
-def test_outside_value_numbered_after_the_up_cache_exists():
+def test_outside_value_reads_no_up_mask(up_masks):
     universe = Universe(6)
     compiled = F.compile_formula(F.parse('forall y (x <= y)'), universe,
                                  F.EvalConfig(5, 1))
-    assert compiled.run({'x': EMPTY})               # builds up row 0
-    assert universe._up_bits is not None
-    # numbered after the universe, so they read no up row
+    assert compiled.run({'x': EMPTY})               # reads up mask 0
+    # numbered after the universe, so they read no up mask
     assert not compiled.run({'x': p('[9]+[9]')})
     assert not compiled.run({'x': p('[20]')})
-    assert not compiled.run({'x': p('[1]')})        # builds up row 1
-    assert sum(row is not None for row in universe._up_bits) == 2
+    assert not compiled.run({'x': p('[1]')})        # reads up mask 1
+    assert up_masks['above'] == [0, 1]
+    assert universe._up_bits is None
 
 
 def test_each_atom_orientation_matches_a_leq_sweep():
@@ -565,18 +565,10 @@ LOWER_COVER = ('const c = %s;\n'
                'x <= c & x != c & forall z (x <= z & z <= c -> z = x | z = c)')
 
 
-def test_down_oriented_formulas_leave_the_up_cache_unbuilt(monkeypatch):
+def test_down_oriented_formulas_leave_the_up_cache_unbuilt(up_masks):
     # every order atom of these reads a down row, or a constant's up mask
     # read off the level layout, once each quantifier is oriented; a
-    # transposed sweep's last pending value reads its up row, and no up
-    # row is built that was not asked
-    asked = set()
-    up_row = Universe.up_row
-
-    def counted(self, i):
-        asked.add(i)
-        return up_row(self, i)
-    monkeypatch.setattr(Universe, 'up_row', counted)
+    # transposed sweep's last pending value reads its up mask
     universe = Universe(12)
     config = F.EvalConfig(11, 1)
     xs = [q for q in universe.elements if q.card <= 11]
@@ -589,18 +581,23 @@ def test_down_oriented_formulas_leave_the_up_cache_unbuilt(monkeypatch):
         cases.append((LOWER_COVER % render(c), lower_covers(c)))
     for text, want in cases:
         assert F.defined_set(F.parse(text), 'x', universe, config) == want, text
-    # only empty.fol's last pending value, x = 0, reads an up row
-    built = {i for i, row in enumerate(universe._up_bits) if row is not None}
-    assert built == asked == {0}
+    # only empty.fol's last pending value, x = 0, reads the up mask of a
+    # variable's value; the others are the constants'
+    constants = {universe.ordinal(p(text))
+                 for text in ('2[1]', '[2]+[1]', '2[3]+[1]')}
+    assert set(up_masks['above']) == constants | {0}
+    assert universe._up_bits is None
 
 
-def test_cover_formulas_still_build_the_up_cache():
+def test_cover_formulas_read_the_up_mask_of_each_value(up_masks):
     universe = Universe(7)
     got = F.defined_relation(F.parse(COVER), ('x', 'y'), universe,
                              F.EvalConfig(6, 1))
     assert got == {(s, q) for q in universe.elements if q.card <= 6
                    for s in lower_covers(q)}
-    assert universe._up_bits is not None
+    # x <= y, with y swept, reads x's up mask at every x
+    assert set(up_masks['above']) == set(range(universe.ordinal_cutoff(6)))
+    assert universe._up_bits is None
 
 
 @pytest.mark.parametrize('text, transposed', [
@@ -1024,14 +1021,14 @@ def test_conjugating_the_constants_conjugates_the_relation(text, max_card):
         assert F.defined_relation(_conjugated(f), names, UNI9, config) == want
 
 
-def test_empty_formula_builds_at_most_one_row_of_each_cache():
+def test_empty_formula_builds_at_most_one_row_of_each_cache(up_masks):
     # the loop over y reads the down row of y = 0, which leaves only
-    # x = 0 pending; that one is answered by its up row
+    # x = 0 pending; that one is answered by its up mask
     universe = Universe(25)
     f = F.parse(F.corpus()['empty'])
     assert F.defined_set(f, 'x', universe, F.EvalConfig(24, 1)) == {EMPTY}
     assert sum(row is not None for row in universe._down_bits) <= 1
-    assert sum(row is not None for row in universe._up_bits) <= 1
+    assert up_masks['above'] == [0]
 
 
 def test_a_formula_reading_rows_is_refused_past_the_bit_cache_ceiling():
@@ -1067,27 +1064,21 @@ def test_formulas_reading_no_row_evaluate_past_the_bit_cache_ceiling():
     assert universe._covers is None
 
 
-def test_an_up_row_is_refused_where_its_store_would_be_made(monkeypatch):
-    # x <= y over y, with x assigned, reads x's up row: past the ceiling
-    # the first one is refused before the up-row store is allocated, and a
-    # formula that reads no row still evaluates
-    f = F.parse('forall y (x <= y)')
-    totality = F.parse(F.corpus()['totality'])
-    small = Universe(6)
+def test_a_formula_reading_only_up_masks_evaluates_past_the_ceiling(
+        monkeypatch):
+    # cover.fol reads up masks and no down row: an up mask is kept in no
+    # store, so with the ceiling just under the universe's estimate it
+    # still evaluates and stores nothing, while a down row is refused
+    universe = Universe(7)
     monkeypatch.setattr(P, 'MAX_BIT_CACHE_BYTES',
-                        bit_cache_bytes(len(small)) - 1)
+                        bit_cache_bytes(len(universe)) - 1)
+    got = F.defined_relation(F.parse(F.corpus()['cover']), ('x', 'y'),
+                             universe, F.EvalConfig(6, 1))
+    assert got == {(s, q) for q in universe.elements if q.card <= 6
+                   for s in lower_covers(q)}
+    assert universe._up_bits is None and universe._down_bits is None
     with pytest.raises(ResourceLimit):
-        F.evaluate(f, {'x': EMPTY}, small, F.EvalConfig(5, 1))
-    assert small._up_bits is None and small._down_bits is None
-    assert (F.defined_set(totality, 'x', small, F.EvalConfig(5, 1))
-            == {pi for pi in small if pi.card <= 5 and is_total(pi)})
-    monkeypatch.undo()
-    big = enumerate_universe(40)
-    config = F.EvalConfig(39, 1)
-    with pytest.raises(ResourceLimit):
-        F.evaluate(f, {'x': EMPTY}, big, config)
-    assert len(F.defined_set(totality, 'x', big, config)) == 40
-    assert big._up_bits is None and big._down_bits is None
+        universe.down_row(3)
 
 
 def test_constant_up_sets_past_the_ceiling_build_no_cover_table():

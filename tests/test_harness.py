@@ -335,7 +335,7 @@ def test_embed_poset_builds_a_fraction_of_the_two_bit_caches():
     assert peak <= 0.25 * bit_cache_bytes(len(universe))
 
 
-def test_embed_poset_builds_only_the_rows_it_tries(monkeypatch):
+def test_embed_poset_builds_only_the_rows_it_tries(monkeypatch, up_masks):
     made = []
 
     def recorded(max_card):
@@ -350,8 +350,10 @@ def test_embed_poset_builds_only_the_rows_it_tries(monkeypatch):
     universe, = made
     tried = {universe.ordinal(pi) for pi in mapping.values()}
     assert len(universe) == 9296 and len(tried) == 5
-    for rows in (universe._down_bits, universe._up_bits):
-        assert {i for i, row in enumerate(rows) if row is not None} == tried
+    rows = universe._down_bits
+    assert {i for i, row in enumerate(rows) if row is not None} == tried
+    assert sorted(up_masks['embed_poset']) == sorted(tried)
+    assert universe._up_bits is None
 
 
 def test_embed_places_elements_by_depth():

@@ -44,20 +44,12 @@ REPORT_MUTANTS = {
         'partitions.py', 'ordinals[x + tail] for x',
         'ordinals[x + tail + 1] for x',
         ['reconstruction-from-lower-covers', 'automorphism-uniqueness']),
+    # the up mask of ordinal zero, the empty partition, cut to its own bit
     'up-bits-skip-ordinal-zero': (
-        'partitions.py', '= self.up_mask(i) >> i\n',
-        '= (self.up_mask(i) if i else 1) >> i\n',
+        'partitions.py', '(1 << len(self.elements)) - 1\n',
+        '(1 << len(self.elements)) - 1 if i else 1\n',
         ['corpus-cover', 'corpus-empty', 'corpus-rectangular',
          'embed-chain-5', 'embed-antichain-5']),
-    'up-bits-row-without-its-own-bit': (
-        'partitions.py', '= self.up_mask(i) >> i\n',
-        '= self.up_mask(i) >> i & ~1\n',
-        ['corpus-empty', 'embed-chain-5']),
-    # an up row handed out as its store keeps it, shifted down by i
-    'up-row-returns-its-stored-shift': (
-        'partitions.py', 'return rows[i] << i\n', 'return rows[i]\n',
-        ['corpus-cover', 'corpus-rectangular', 'embed-chain-5',
-         'embed-antichain-5', 'embed-2-crown', 'embed-antichain-8-too-low']),
     'up-mask-without-its-own-bit': (
         'partitions.py', 'mask &= self._cell(a, b)\n        return mask\n',
         'mask &= self._cell(a, b)\n        return mask ^ 1 << i\n',
@@ -181,8 +173,7 @@ UNIT_MUTANTS = {
     'outside-value-above-everything': (
         'formulas.py', '& care if o < n else 0\n',
         '& care if o < n else care\n',
-        'tests/test_formulas.py::'
-        'test_outside_value_numbered_after_the_up_cache_exists'),
+        'tests/test_formulas.py::test_outside_value_reads_no_up_mask'),
     'flip-direction-ignored': (
         'formulas.py', '(after if k0 < k1 else before)', 'after',
         'tests/test_harness.py::'

@@ -2,6 +2,7 @@
 lattice operations, enumeration, and the text forms."""
 
 import collections
+import itertools
 import sys
 import tracemalloc
 import types
@@ -467,14 +468,18 @@ UNI14 = Universe(14)
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, len(UNI14) - 1), max_size=30))
-def test_up_rows_in_any_order_build_only_the_rows_asked(asked):
-    # a row is up_mask(i), read off the cells, so like a down row it is
-    # built exactly when it is asked for, and no cover table is built
+def test_up_masks_in_any_order_build_only_their_cells(asked):
+    # an up row is up_mask(i), the AND of the cells at element i's corners
+    # (a, b), the last row b of each run of part a, and is kept in no
+    # store: asking for rows builds their cells alone, in any order
     lazy = Universe(14)
     for i in asked:
-        assert lazy.up_row(i) == UNI14.up_mask(i)
-    built = lazy._up_bits or []
-    assert {j for j, row in enumerate(built) if row is not None} == set(asked)
+        assert lazy.up_mask(i) == UNI14.up_mask(i)
+    assert set(lazy._cells) == {
+        (a, b) for i in asked for (a, _), b in zip(
+            lazy.elements[i].runs,
+            itertools.accumulate(k for _, k in lazy.elements[i].runs))}
+    assert lazy._up_bits is None
     assert lazy._covers is None and lazy._down_bits is None
 
 
@@ -529,12 +534,12 @@ def test_strictly_above_edge_cases():
 
 def test_up_mask_is_the_up_cache_row_at_every_ordinal():
     # both are read off the level layout, so the reference is a leq sweep;
-    # an up row comes back full width, and only its store is shifted
+    # the up cache keeps row o from bit o on, the mask is full width
     universe = Universe(14)
     up = universe.up_bits()
     for o in range(len(universe)):
         want = _strictly_above_by_leq(universe, 1 << o, len(universe)) | 1 << o
-        assert universe.up_row(o) == universe.up_mask(o) == want == up[o] << o, o
+        assert universe.up_mask(o) == want == up[o] << o, o
     # the memo holds one state per (a, b, n) with a*b <= n, a corner of an
     # element below level n or a recursion's rest: 269 at most here, so
     # it stays under the element count without being dropped
